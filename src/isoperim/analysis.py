@@ -14,7 +14,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import ArgumentError, DomainError
-from .geometry import MAX_SIDES, _clamped_acos, _clamped_acosh
+from .geometry import MAX_SIDES, _clamped_acos
 
 SUM_TOL = 1e-12
 
@@ -24,6 +24,14 @@ _SQRT2 = math.sqrt(2.0)
 def _check_sides(n: int) -> None:
     if not 3 <= n <= MAX_SIDES:
         raise DomainError(f"side count must be in [3, {MAX_SIDES}], got {n}")
+
+
+def _require_angle(n: int, x: float) -> None:
+    """Raise DomainError unless x lies in AnalysisDomain(n), without building one."""
+    _check_sides(n)
+    hi = (n - 2) * math.pi / n
+    if not 0.0 < x < hi:
+        raise DomainError(f"angle must lie in the open interval (0.0, {hi}), got {x}")
 
 
 @dataclass(frozen=True)
@@ -47,10 +55,7 @@ class AnalysisDomain:
         return self.lo < x < self.hi
 
     def require(self, x: float) -> None:
-        if not self.contains(x):
-            raise DomainError(
-                f"angle must lie in the open interval ({self.lo}, {self.hi}), got {x}"
-            )
+        _require_angle(self.n, x)
 
 
 @dataclass(frozen=True)
@@ -88,15 +93,33 @@ class SplitFunctionParams:
 
 
 def half_side(n: int, x: float) -> float:
-    """Hyperbolic half side length arccosh(cos(pi/n)/sin(x/2)) at interior angle x."""
-    AnalysisDomain(n).require(x)
-    return _clamped_acosh(math.cos(math.pi / n) / math.sin(x / 2.0))
+    """Hyperbolic half side length arccosh(cos(pi/n)/sin(x/2)) at interior angle x.
+
+    With h = pi/2 - x/2 and a = pi/n, delta = cos(a)/sin(x/2) - 1 is formed
+    as the product 2*sin((h+a)/2)*sin((h-a)/2)/sin(x/2), which keeps its
+    relative accuracy as x approaches the flat angle (h -> a), and the
+    result is arccosh(1 + delta) = log1p(delta + sqrt(delta*(delta+2))).
+    """
+    _require_angle(n, x)
+    a = math.pi / n
+    h = 0.5 * (math.pi - x)
+    delta = 2.0 * math.sin(0.5 * (h + a)) * math.sin(0.5 * (h - a)) / math.sin(0.5 * x)
+    if delta < 0.0:
+        # only within roundoff of the flat angle, where h - a rounds below 0
+        delta = 0.0
+    return math.log1p(delta + math.sqrt(delta * (delta + 2.0)))
+
+
+def _denominator(n: int, x: float) -> float:
+    """cos(2*pi/n) + cos(x) as 2*cos(x/2 + pi/n)*cos(x/2 - pi/n), free of cancellation."""
+    a = math.pi / n
+    return 2.0 * math.cos(0.5 * x + a) * math.cos(0.5 * x - a)
 
 
 def half_side_d1(n: int, x: float) -> float:
     """First derivative of the half-side kernel; negative on the whole domain."""
-    AnalysisDomain(n).require(x)
-    d = math.cos(2.0 * math.pi / n) + math.cos(x)
+    _require_angle(n, x)
+    d = _denominator(n, x)
     if d <= 0.0:
         return -math.inf
     return -(math.cos(math.pi / n) / _SQRT2) * (1.0 / math.tan(x / 2.0)) / math.sqrt(d)
@@ -104,8 +127,8 @@ def half_side_d1(n: int, x: float) -> float:
 
 def half_side_d2(n: int, x: float) -> float:
     """Second derivative; crosses zero exactly once, at the inflection point."""
-    AnalysisDomain(n).require(x)
-    d = math.cos(2.0 * math.pi / n) + math.cos(x)
+    _require_angle(n, x)
+    d = _denominator(n, x)
     if d <= 0.0:
         return -math.inf
     half = x / 2.0
@@ -117,18 +140,21 @@ def half_side_d2(n: int, x: float) -> float:
 
 def half_side_d3(n: int, x: float) -> float:
     """Third derivative; strictly negative, so the first derivative is concave."""
-    AnalysisDomain(n).require(x)
+    _require_angle(n, x)
     q = math.cos(2.0 * math.pi / n)
     cx = math.cos(x)
-    d = q + cx
+    d = _denominator(n, x)
     if d <= 0.0:
         return -math.inf
     half = x / 2.0
     csc2 = 1.0 / (math.sin(half) ** 2)
     cot = 1.0 / math.tan(half)
+    # cx + 3 - 2q as 2*cos(x/2)^2 + 4*sin(pi/n)^2: a sum of positive terms,
+    # where the plain form cancels as x approaches the flat angle
+    tail = 2.0 * math.cos(half) ** 2 + 4.0 * math.sin(math.pi / n) ** 2
     bracket = (
         -cot * csc2 * (2.0 * q + 3.0 * cx - 1.0) / d**1.5
-        - math.sin(x) * (cx + 3.0 - 2.0 * q) / d**2.5
+        - math.sin(x) * tail / d**2.5
     )
     return (math.cos(math.pi / n) / (4.0 * _SQRT2)) * bracket
 
@@ -179,7 +205,7 @@ def equal_split_margin(n: int, x: float) -> float:
     Positive means the single polygon beats the equal two-way split; the
     unique root of this margin is the critical angle.
     """
-    AnalysisDomain(n).require(x)
+    _require_angle(n, x)
     inner = x / 2.0 + math.pi / 2.0 - math.pi / n
     return 2.0 * half_side(n, inner) - half_side(n, x)
 

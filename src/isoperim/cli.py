@@ -28,7 +28,14 @@ from .configurations import (
     total_perimeter,
 )
 from .errors import ArgumentError, BracketError, ConvergenceError, DomainError
-from .geometry import Geometry, RegularPolygon, area_from_angle, perimeter, side_length
+from .geometry import (
+    MAX_SIDES,
+    Geometry,
+    RegularPolygon,
+    area_from_angle,
+    perimeter,
+    side_length,
+)
 from .threshold import critical_angle
 
 SCHEMA_VERSION = "1"
@@ -160,8 +167,10 @@ def _cmd_theta(args: argparse.Namespace) -> int:
         raise DomainError("provide either a single side count or --range LO HI")
     if args.range is not None:
         lo, hi = args.range
-        if lo < 3 or hi < lo:
-            raise DomainError(f"range must satisfy 3 <= LO <= HI, got {lo}, {hi}")
+        if lo < 3 or hi < lo or hi > MAX_SIDES:
+            raise DomainError(
+                f"range must satisfy 3 <= LO <= HI <= {MAX_SIDES}, got {lo}, {hi}"
+            )
         rows = [_theta_row(n) for n in range(lo, hi + 1)]
         if args.format == "json":
             _emit_record(

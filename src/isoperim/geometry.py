@@ -154,11 +154,13 @@ def side_length(polygon: RegularPolygon) -> float:
 
     For the curved planes the half side satisfies
     cos(s/2) resp. cosh(s/2) = cos(pi/n)/sin(angle/2); Euclidean polygons
-    use s = sqrt(4*tan(pi/n)*area/n).
+    use s = sqrt(4*tan(pi/n)/n)*sqrt(area), which stays finite for every
+    finite area (the product 4*tan(pi/n)*area overflows near the largest
+    double).
     """
     n = polygon.n
     if polygon.geometry is Geometry.EUCLIDEAN:
-        return math.sqrt(4.0 * math.tan(math.pi / n) * polygon.area / n)
+        return math.sqrt(4.0 * math.tan(math.pi / n) / n) * math.sqrt(polygon.area)
     ratio = math.cos(math.pi / n) / math.sin(polygon.angle / 2.0)
     if polygon.geometry is Geometry.SPHERICAL:
         return 2.0 * _clamped_acos(ratio)

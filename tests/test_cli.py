@@ -4,8 +4,10 @@ import subprocess
 import sys
 
 import jsonschema
+import mpmath as mp
 import pytest
 
+from isoperim import critical_angle, inflection_point
 from isoperim.cli import ERROR_SCHEMA, OUTPUT_SCHEMA, main
 
 from conftest import CE_MARGIN, THETA_3, X0_3, sign_changes
@@ -79,6 +81,14 @@ def test_perim_degrees_flag(capsys):
     assert out1 == out2
 
 
+def test_perim_euclidean_huge_area(capsys):
+    # 4*tan(pi/3)*1e308 overflows; the side must not
+    code, out, _ = run_cli(capsys, "perim", "euclidean", "3", "--area", "1e308")
+    assert code == 0
+    expected = 3 * mp.sqrt(4 * mp.tan(mp.pi / 3) * mp.mpf("1e308") / 3)
+    assert record_of(out)["results"]["perimeter"] == pytest.approx(float(expected), rel=1e-15)
+
+
 def test_perim_unknown_geometry(capsys):
     code, _, err = run_cli(capsys, "perim", "elliptic", "4", "--area", "1")
     assert code == 2
@@ -110,6 +120,27 @@ def test_theta_range_csv(capsys):
         assert 0.0 < float(theta) < (n - 2) * math.pi / n
         assert float(theta) < float(x0)
         assert float(max_area) == pytest.approx((n - 2) * math.pi - n * float(theta), rel=1e-12)
+
+
+def test_theta_max_sides(capsys):
+    code, out, _ = run_cli(capsys, "theta", "1000000")
+    assert code == 0
+    record = record_of(out)
+    flat = 999998 * math.pi / 1000000
+    assert 0.0 < record["results"]["theta"] < record["results"]["x0"] < flat
+    assert record["diagnostics"]["residual"] <= 1e-10
+
+
+def test_theta_range_above_max_sides_rejected_before_solving(capsys):
+    critical_angle.cache_clear()
+    inflection_point.cache_clear()
+    code, out, err = run_cli(capsys, "theta", "--range", "3", "1000001")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    jsonschema.validate(error, ERROR_SCHEMA)
+    assert error["error"]["type"] == "DomainError"
+    assert critical_angle.cache_info().currsize == 0
 
 
 def test_theta_rejects_small_n(capsys):
@@ -151,6 +182,17 @@ def test_split_euclidean_pythagorean(capsys):
     assert record["results"]["part_perimeters"][0] == pytest.approx(12.0, rel=1e-12)
     assert record["results"]["part_perimeters"][1] == pytest.approx(16.0, rel=1e-12)
     assert record["results"]["single_perimeter"] == pytest.approx(20.0, rel=1e-12)
+
+
+def test_split_euclidean_huge_area(capsys):
+    code, out, _ = run_cli(capsys, "split", "euclidean", "3", "--total-area", "1e308")
+    assert code == 0
+    results = record_of(out)["results"]
+    assert results["verdict"] == "single_optimal_strict"
+    # two halves: sqrt(2) times the single perimeter
+    assert results["config_perimeter"] == pytest.approx(
+        math.sqrt(2.0) * results["single_perimeter"], rel=1e-14
+    )
 
 
 def test_split_spherical_strict(capsys):

@@ -1,6 +1,9 @@
 import math
 
+import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isoperim import (
     BracketError,
@@ -11,6 +14,7 @@ from isoperim import (
     half_side_d2,
     inflection_point,
 )
+from isoperim.threshold import _bisect
 
 from conftest import MAX_AREA_3, THETA_3, THETA_4, THETA_5, X0_3, staged_scan_root
 
@@ -57,6 +61,18 @@ def test_bisect_exhausts_iterations():
     step = lambda x: 1.0 if x >= 1.0 else -1.0
     with pytest.raises(ConvergenceError):
         find_root_bisect(step, 0.0, 1e60, 1e-3)
+
+
+def test_newton_falls_back_to_bisection_outside_bracket():
+    # Newton on atan from the first midpoint overshoots far past the
+    # bracket; the safeguarded iteration must still close in on 0, and
+    # faster than the 56 steps of plain bisection
+    root, iterations, residual = _bisect(
+        math.atan, -1.0, 20.0, 0.0, lambda x: 1.0 / (1.0 + x * x)
+    )
+    assert abs(root) <= 1e-15
+    assert residual == abs(math.atan(root))
+    assert iterations <= 15
 
 
 # ------------------------------------------------------- inflection point
@@ -141,6 +157,43 @@ def test_scan_oracle_agreement(n):
 
 
 def test_large_side_count():
-    res = critical_angle(1000)
-    assert 0.0 < res.critical_angle < res.inflection < domain_hi(1000)
-    assert res.residual <= 1e-10
+    for n in (1000, 158489, 501187, 10**6):
+        res = critical_angle(n)
+        assert 0.0 < res.critical_angle < res.inflection < domain_hi(n)
+        assert res.residual <= 1e-10
+        assert abs(half_side_d2(n, res.inflection)) <= 1e-10
+
+
+def test_iteration_count_bound():
+    # the Newton steps on the closed-form derivative need at most 20
+    # iterations where bisection needs about 51
+    worst = max(critical_angle(n).iterations for n in range(3, 2001))
+    assert worst <= 20
+
+
+def mp_margin(n: int, x: mp.mpf) -> mp.mpf:
+    """Equal-split margin 2K(x/2 + pi/2 - pi/n) - K(x) from the arccosh form."""
+    k = lambda t: mp.acosh(mp.cos(mp.pi / n) / mp.sin(t / 2))  # noqa: E731
+    return 2 * k(x / 2 + mp.pi / 2 - mp.pi / n) - k(x)
+
+
+# Measured worst case 8.9e-13 over about 2600 sampled n, near n = 10^6,
+# where rounding the margin's inner angle to a double sets the limit.
+THETA_REL_TOL = 2e-12
+
+
+@given(log_n=st.floats(min_value=math.log(3), max_value=math.log(10**6)))
+@example(log_n=math.log(125304))
+@example(log_n=math.log(501187))
+@example(log_n=math.log(10**6))
+@settings(deadline=None, max_examples=60)
+def test_critical_angle_matches_high_precision_root(log_n):
+    n = min(max(round(math.exp(log_n)), 3), 10**6)
+    theta = critical_angle(n).critical_angle
+    with mp.workdps(40):
+        # a sign change of the exact margin 1e-9 around theta proves a root
+        # there; the margin has no other root below the inflection point
+        lo, hi = mp.mpf(theta) * (1 - mp.mpf(1e-9)), mp.mpf(theta) * (1 + mp.mpf(1e-9))
+        assert mp_margin(n, lo) < 0 < mp_margin(n, hi)
+        root = mp.findroot(lambda x: mp_margin(n, x), (lo, hi), solver="anderson")
+        assert abs((theta - root) / root) <= THETA_REL_TOL
