@@ -14,16 +14,11 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import ArgumentError, DomainError
-from .geometry import MAX_SIDES, _clamped_acos
+from .geometry import _check_sides, _clamped_acos
 
 SUM_TOL = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def _check_sides(n: int) -> None:
-    if not 3 <= n <= MAX_SIDES:
-        raise DomainError(f"side count must be in [3, {MAX_SIDES}], got {n}")
 
 
 def _require_angle(n: int, x: float) -> None:
@@ -159,21 +154,23 @@ def half_side_d3(n: int, x: float) -> float:
     return (math.cos(math.pi / n) / (4.0 * _SQRT2)) * bracket
 
 
-def spherical_half_side(n: int, x: float) -> float:
-    """Spherical half side arccos(cos(pi/n)/sin(x/2)); the degenerate angle is allowed."""
+def _require_spherical_angle(n: int, x: float) -> None:
+    """Raise DomainError unless x lies in [(n-2)*pi/n, pi], the spherical kernel's domain."""
     _check_sides(n)
     flat = (n - 2) * math.pi / n
     if not flat <= x <= math.pi:
         raise DomainError(f"angle must lie in [{flat}, {math.pi}], got {x}")
+
+
+def spherical_half_side(n: int, x: float) -> float:
+    """Spherical half side arccos(cos(pi/n)/sin(x/2)); the degenerate angle is allowed."""
+    _require_spherical_angle(n, x)
     return _clamped_acos(math.cos(math.pi / n) / math.sin(x / 2.0))
 
 
 def spherical_half_side_d2(n: int, x: float) -> float:
     """Second derivative of the spherical half side; negative (the kernel is concave)."""
-    _check_sides(n)
-    flat = (n - 2) * math.pi / n
-    if not flat <= x <= math.pi:
-        raise DomainError(f"angle must lie in [{flat}, {math.pi}], got {x}")
+    _require_spherical_angle(n, x)
     cpn = math.cos(math.pi / n)
     half = x / 2.0
     csc = 1.0 / math.sin(half)

