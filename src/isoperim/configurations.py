@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from operator import add
 
 from .analysis import SplitFunctionParams, split_objective
-from .errors import DomainError, ResourceError
-from .geometry import Geometry, RegularPolygon, area_bounds, perimeter, validate_area
+from .errors import ConvergenceError, DomainError, ResourceError
+from .geometry import Geometry, RegularPolygon, _side, area_bounds, perimeter, validate_area
 from .threshold import critical_angle
 
 # Perimeter differences smaller than this are reported as ties rather than
@@ -25,6 +27,9 @@ TIE_TOL = 1e-9
 MAX_PARTS = 4
 MAX_RESOLUTION = 2000
 MAX_EVALUATIONS = 10**8
+# Candidates brute_force_min scores per numpy pass, which bounds its working
+# memory; above MAX_RESOLUTION // 2 + 1, so any prefix's pairs fit in one pass.
+_CHUNK = 8192
 
 
 class Verdict(str, Enum):
@@ -57,14 +62,15 @@ class Configuration:
         return tuple(RegularPolygon(self.geometry, self.n, a) for a in self.areas)
 
 
+# reduce, not sum: from Python 3.12 on, sum() of floats is compensated
 def total_area(config: Configuration) -> float:
     """Sum of the polygon areas, accumulated left to right."""
-    return sum(config.areas)
+    return reduce(add, config.areas)
 
 
 def total_perimeter(config: Configuration) -> float:
     """Sum of the polygon perimeters, accumulated left to right."""
-    return sum(perimeter(p) for p in config.polygons())
+    return reduce(add, (perimeter(p) for p in config.polygons()))
 
 
 @dataclass(frozen=True)
@@ -155,7 +161,10 @@ def assess_two_split(
             angle=angle,
         )
 
-    params = SplitFunctionParams(n, angle + (n - 2) * math.pi / n)
+    flat = (n - 2) * math.pi / n
+    if not angle + flat < 2.0 * flat:
+        raise DomainError(f"total area {total} is too small to split for hyperbolic n={n}")
+    params = SplitFunctionParams(n, angle + flat)
     if theta1 is None:
         theta1 = params.c / 2.0
     config_p = 2.0 * n * split_objective(params, theta1)
@@ -253,6 +262,8 @@ def counterexample_triangles(epsilon: float) -> CounterexampleResult:
     """
     if not 0.0 < epsilon < math.pi / 6.0:
         raise DomainError(f"epsilon must lie in (0, {math.pi / 6.0}), got {epsilon}")
+    if not math.pi - 3.0 * epsilon < math.pi:
+        raise DomainError(f"epsilon {epsilon} is too small: pi - 3*epsilon rounds to pi")
     config = Configuration(
         Geometry.HYPERBOLIC, 3, (math.pi / 2.0, math.pi / 2.0 - 3.0 * epsilon)
     )
@@ -260,7 +271,8 @@ def counterexample_triangles(epsilon: float) -> CounterexampleResult:
     split_p = total_perimeter(config)
     single_p = perimeter(single)
     pair_bound = 6.0 * math.acosh(3.0 + 2.0 * math.sqrt(3.0))
-    assert split_p <= pair_bound + TIE_TOL
+    if not split_p <= pair_bound + TIE_TOL:
+        raise ConvergenceError(f"pair perimeter {split_p} exceeds its bound {pair_bound}")
     return CounterexampleResult(
         config=config,
         single=single,
@@ -281,6 +293,15 @@ def _partition_count(total: int, parts: int) -> int:
         for value in range(size, m + 1):
             at_most[value] += at_most[value - size]
     return at_most[m]
+
+
+def _ranges(np, start, stop):
+    """Flatten the ranges start[i] <= a <= stop[i] in row order: (row of each a, a)."""
+    counts = np.maximum(stop - start + 1, 0)
+    row = np.repeat(np.arange(counts.size), counts)
+    a = np.arange(row.size)
+    a += (start + counts - np.cumsum(counts))[row]
+    return row, a
 
 
 def brute_force_min(
@@ -320,42 +341,42 @@ def brute_force_min(
     for units in range(1, resolution + 1):
         area = units * unit
         if lo < area < hi:
-            perims[units] = perimeter(RegularPolygon(geometry, n, area))
-
-    best_perimeter = math.inf
-    best_units: tuple[int, ...] | None = None
-
-    def consider(prefix_perim: float, prefix: tuple[int, ...], start: int, rem: int) -> None:
-        nonlocal best_perimeter, best_units
-        # vectorized innermost pair: start <= a <= rem - a
-        top = rem // 2
-        if top < start:
-            return
-        a = np.arange(start, top + 1)
-        cand = prefix_perim + perims[a] + perims[rem - a]
-        idx = int(np.argmin(cand))
-        value = float(cand[idx])
-        if value < best_perimeter:
-            best_perimeter = value
-            best_units = prefix + (int(a[idx]), rem - int(a[idx]))
+            perims[units] = n * _side(geometry, n, area)
 
     R = resolution
-    if np.isfinite(perims[R]) and perims[R] < best_perimeter:
-        best_perimeter = float(perims[R])
-        best_units = (R,)
-    if k_max >= 2:
-        consider(0.0, (), 1, R)
-    if k_max >= 3:
-        for a1 in range(1, R // 3 + 1):
-            if np.isfinite(perims[a1]):
-                consider(float(perims[a1]), (a1,), a1, R - a1)
-    if k_max >= 4:
-        for a1 in range(1, R // 4 + 1):
-            if not np.isfinite(perims[a1]):
-                continue
-            for a2 in range(a1, (R - a1) // 3 + 1):
-                if np.isfinite(perims[a2]):
-                    consider(float(perims[a1] + perims[a2]), (a1, a2), a2, R - a1 - a2)
+    # 0 < u * unit < hi holds for an initial run of u, so perims is finite on 1..finite
+    finite = int(np.isfinite(perims).sum())
+    best_perimeter = float(perims[R])
+    best_units: tuple[int, ...] | None = (R,) if best_perimeter < math.inf else None
+    for k in range(2, k_max + 1):
+        # Sorted (k-2)-part prefixes in lexicographic order with their
+        # left-to-right perimeter sums; part j of k is at most rem // (k - j),
+        # and at most `finite`, which drops the prefixes with an infinite sum.
+        links = []  # per prefix part: (index of the shorter prefix, part)
+        sums, rem, start = np.zeros(1), np.full(1, R), np.ones(1, np.int64)
+        for j in range(k - 2):
+            row, part = _ranges(np, start, np.minimum(rem // (k - j), finite))
+            links.append((row, part))
+            sums, rem, start = sums[row] + perims[part], rem[row] - part, part
+        # Innermost pair start <= a <= rem - a, scored flat in row-major order
+        # in chunks; a chunk's first minimum wins only if strictly better, so
+        # ties keep fewer parts, then the lexicographically smallest vector.
+        ends = np.cumsum(np.maximum(rem // 2 - start + 1, 0))
+        r0 = done = 0
+        while r0 < ends.size and done < ends[-1]:  # each chunk then holds a pair
+            r1 = int(np.searchsorted(ends, done + _CHUNK, "right"))
+            row, a = _ranges(np, start[r0:r1], rem[r0:r1] // 2)
+            row += r0
+            cand = (sums[row] + perims[a]) + perims[rem[row] - a]
+            i = int(np.argmin(cand))
+            if cand[i] < best_perimeter:
+                best_perimeter, r = float(cand[i]), row[i]
+                parts = [int(a[i]), int(rem[r] - a[i])]
+                for owner, part in reversed(links):  # trace the prefix back
+                    parts.insert(0, int(part[r]))
+                    r = owner[r]
+                best_units = tuple(parts)
+            r0, done = r1, int(ends[r1 - 1])
 
     if best_units is None or not math.isfinite(best_perimeter):
         raise DomainError(

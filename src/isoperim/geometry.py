@@ -99,11 +99,12 @@ def angle_from_area(geometry: Geometry, n: int, area: float) -> float:
     Euclidean polygons have the fixed angle (n-2)*pi/n for any area.
     """
     validate_area(geometry, n, area)
-    if geometry is Geometry.EUCLIDEAN:
-        return (n - 2) * math.pi / n
-    if geometry is Geometry.SPHERICAL:
-        return (area + (n - 2) * math.pi) / n
-    return ((n - 2) * math.pi - area) / n
+    return _angle(geometry, n, area)
+
+
+def _angle(geometry: Geometry, n: int, area: float) -> float:
+    # Gauss-Bonnet: n * angle = (n-2)*pi + K * area
+    return ((n - 2) * math.pi + geometry.curvature * area) / n
 
 
 def area_from_angle(geometry: Geometry, n: int, angle: float) -> float:
@@ -158,11 +159,15 @@ def side_length(polygon: RegularPolygon) -> float:
     finite area (the product 4*tan(pi/n)*area overflows near the largest
     double).
     """
-    n = polygon.n
-    if polygon.geometry is Geometry.EUCLIDEAN:
-        return math.sqrt(4.0 * math.tan(math.pi / n) / n) * math.sqrt(polygon.area)
-    ratio = math.cos(math.pi / n) / math.sin(polygon.angle / 2.0)
-    if polygon.geometry is Geometry.SPHERICAL:
+    return _side(polygon.geometry, polygon.n, polygon.area)
+
+
+def _side(geometry: Geometry, n: int, area: float) -> float:
+    """side_length for an (n, area) the caller has already checked against area_bounds."""
+    if geometry is Geometry.EUCLIDEAN:
+        return math.sqrt(4.0 * math.tan(math.pi / n) / n) * math.sqrt(area)
+    ratio = math.cos(math.pi / n) / math.sin(_angle(geometry, n, area) / 2.0)
+    if geometry is Geometry.SPHERICAL:
         return 2.0 * _clamped_acos(ratio)
     return 2.0 * _clamped_acosh(ratio)
 

@@ -217,6 +217,15 @@ def test_split_hyperbolic_below_threshold(capsys):
     assert halves[0] == pytest.approx(2.8415926 / 2, rel=1e-12)
 
 
+def test_split_hyperbolic_total_too_small(capsys):
+    code, out, err = run_cli(capsys, "split", "hyperbolic", "3", "--total-area", "1e-300")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    jsonschema.validate(error, ERROR_SCHEMA)
+    assert error["error"]["message"].startswith("total area 1e-300 is too small to split")
+
+
 def test_split_hyperbolic_multi_part(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -335,6 +344,16 @@ def test_counterexample_large_epsilon_reported(capsys):
 def test_counterexample_out_of_range(capsys):
     assert run_cli(capsys, "counterexample", "--epsilon", "0.6")[0] == 2
     assert run_cli(capsys, "counterexample", "--epsilon", "-0.1")[0] == 2
+
+
+def test_counterexample_epsilon_lost_to_rounding(capsys):
+    code, out, err = run_cli(capsys, "counterexample", "--epsilon", "1e-300")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    jsonschema.validate(error, ERROR_SCHEMA)
+    assert error["error"]["type"] == "DomainError"
+    assert error["error"]["message"].startswith("epsilon 1e-300 is too small")
 
 
 # ----------------------------------------------------------- determinism

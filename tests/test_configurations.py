@@ -1,5 +1,8 @@
+import itertools
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +26,10 @@ from isoperim import (
     total_area,
     total_perimeter,
 )
+from isoperim import configurations
+from isoperim import geometry as geometry_module
 from isoperim.configurations import _partition_count
+from isoperim.geometry import area_bounds
 
 from conftest import (
     CE_MARGIN,
@@ -198,6 +204,15 @@ def test_assess_theta1_validation():
         assess_two_split(EUC, 3, 1.0, theta1=0.5)
 
 
+@pytest.mark.parametrize("n", [3, 4, 6, 1000])
+@pytest.mark.parametrize("total", [1e-300, 5e-16])
+def test_assess_rejects_total_too_small_to_split(n, total):
+    # the split's angle sum rounds to 2 * (n-2)*pi/n: the error names the total and n
+    message = f"total area {total} is too small to split for hyperbolic n={n}"
+    with pytest.raises(DomainError, match=message):
+        assess_two_split(HYP, n, total)
+
+
 def test_verdict_consistent_with_sign():
     rng = random.Random(42)
     for _ in range(100):
@@ -337,6 +352,29 @@ def test_counterexample_epsilon_range():
         counterexample_triangles(0.6)
 
 
+def test_counterexample_epsilon_lost_to_rounding():
+    # pi - 3*epsilon rounds to pi: the error names epsilon, not an area
+    with pytest.raises(DomainError, match="epsilon 1e-300 is too small"):
+        counterexample_triangles(1e-300)
+
+
+def test_counterexample_bound_survives_optimized_mode():
+    code = (
+        "import isoperim.configurations as c\n"
+        "from isoperim import ConvergenceError\n"
+        "c.total_perimeter = lambda config: 1e9\n"
+        "try:\n"
+        "    c.counterexample_triangles(0.1)\n"
+        "except ConvergenceError as exc:\n"
+        "    if 'exceeds its bound' not in str(exc):\n"
+        "        raise SystemExit(str(exc))\n"
+        "else:\n"
+        "    raise SystemExit('pair bound not checked')\n"
+    )
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr + result.stdout
+
+
 # ------------------------------------------------------------ brute force
 
 
@@ -410,3 +448,88 @@ def test_brute_force_agrees_with_analytic():
             assert best.k == 1
         else:
             assert best.k == 2
+
+
+def test_brute_force_budget_checked_before_the_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("perimeter table built before the budget check")
+
+    monkeypatch.setattr(configurations, "_side", no_table)
+    with pytest.raises(ResourceError):
+        brute_force_min(EUC, 4, 1.0, 3, 500, max_evaluations=10)
+    count = sum(_partition_count(500, k) for k in (1, 2, 3))
+    with pytest.raises(ResourceError, match=f"{count} candidate partitions"):
+        brute_force_min(EUC, 4, 1.0, 3, 500, max_evaluations=count - 1)
+
+
+def _left_to_right(values):
+    # sum() of floats is compensated from Python 3.12 on; the oracle is not
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
+
+
+def reference_min(geometry, n, total, k_max, resolution):
+    """Scalar grid search: every sorted part vector in lexicographic order,
+    fewer parts first, each summed left to right; the first strict minimum wins.
+    Returns None when no candidate is finite."""
+    unit = total / resolution
+    lo, hi = area_bounds(geometry, n)
+    perims = [math.inf] * (resolution + 1)
+    for u in range(1, resolution + 1):
+        if lo < u * unit < hi:
+            perims[u] = perimeter(RegularPolygon(geometry, n, u * unit))
+    best, best_units = math.inf, None
+    for k in range(1, k_max + 1):
+        for head in itertools.combinations_with_replacement(range(1, resolution + 1), k - 1):
+            last = resolution - sum(head)
+            if head and last < head[-1]:
+                continue
+            units = head + (last,)
+            value = _left_to_right(perims[u] for u in units)
+            if value < best:
+                best, best_units = value, units
+    if best_units is None:
+        return None
+    return tuple(u * unit for u in best_units), best
+
+
+def assert_matches_reference(geometry, n, total, k_max, resolution):
+    expected = reference_min(geometry, n, total, k_max, resolution)
+    if expected is None:
+        with pytest.raises(DomainError, match="no valid partition"):
+            brute_force_min(geometry, n, total, k_max, resolution)
+        return
+    best, p = brute_force_min(geometry, n, total, k_max, resolution)
+    assert (best.areas, p) == expected
+
+
+# totals inside the domain, near its top, and past it (table entries inf)
+ORACLE_TOTALS = {
+    EUC: (1.0, 37.5),
+    SPH: (1.0, 6.0, 9.0, 40.0),
+    HYP: (1.0, hyp_area(3, 0.1), 5.0, 300.0),
+}
+
+
+@pytest.mark.parametrize("geometry", [EUC, SPH, HYP])
+@pytest.mark.parametrize("k_max", [1, 2, 3, 4])
+def test_brute_force_matches_scalar_reference(geometry, k_max):
+    for total in ORACLE_TOTALS[geometry]:
+        for resolution in (1, 2, 3, 5, 12, 29, 40):
+            assert_matches_reference(geometry, 3, total, k_max, resolution)
+    assert_matches_reference(geometry, 5, ORACLE_TOTALS[geometry][1], k_max, 37)
+
+
+@pytest.mark.parametrize("k_max", [2, 3, 4])
+def test_brute_force_exact_ties_match_reference(monkeypatch, k_max):
+    # A side linear in the area with unit 1 makes every candidate of a total
+    # tie exactly; the tie rule alone picks the winner.
+    for module in (configurations, geometry_module):
+        monkeypatch.setattr(module, "_side", lambda g, n, area: area)
+    for g, n in ((EUC, 4), (SPH, 3), (HYP, 3), (HYP, 4), (HYP, 6)):
+        for resolution in range(1, 41):
+            assert_matches_reference(g, n, float(resolution), k_max, resolution)
+    best, p = brute_force_min(HYP, 3, 4.0, k_max, 4)
+    assert (best.areas, p) == ((1.0, 3.0), 12.0)
