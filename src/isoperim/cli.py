@@ -15,6 +15,8 @@ import math
 import os
 import sys
 from collections.abc import Sequence
+from functools import reduce
+from operator import add
 
 from .analysis import (
     AnalysisDomain,
@@ -203,9 +205,10 @@ def _cmd_split(args: argparse.Namespace) -> int:
         assessment = assess_two_split(geometry, args.n, args.total_area)
     else:
         areas = tuple(float(part) for part in args.areas.split(","))
-        if abs(sum(areas) - args.total_area) > 1e-9:
+        parts_sum = reduce(add, areas)  # left to right, as total_area adds
+        if abs(parts_sum - args.total_area) > 1e-9:
             raise DomainError(
-                f"areas sum to {sum(areas)}, expected {args.total_area} within 1e-9"
+                f"areas sum to {parts_sum}, expected {args.total_area} within 1e-9"
             )
         inputs["areas"] = list(areas)
         config = Configuration(geometry, args.n, areas)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
+from itertools import accumulate
 from operator import add
 
 from .analysis import SplitFunctionParams, split_objective
@@ -282,17 +283,19 @@ def counterexample_triangles(epsilon: float) -> CounterexampleResult:
     )
 
 
+def _partitions_at_most(total: int, parts: int) -> int:
+    """Number of partitions of `total` into at most `parts` parts."""
+    at_most = [1] + [0] * total
+    for size in range(1, parts + 1):
+        # at_most[v] += at_most[v - size] for rising v, one residue class at a time
+        for r in range(size):
+            at_most[r::size] = accumulate(at_most[r::size])
+    return at_most[total]
+
+
 def _partition_count(total: int, parts: int) -> int:
     """Number of partitions of `total` into exactly `parts` parts of size >= 1."""
-    if parts > total:
-        return 0
-    # partitions of total into exactly k parts == partitions of total-k into at most k parts
-    m = total - parts
-    at_most = [1] + [0] * m
-    for size in range(1, parts + 1):
-        for value in range(size, m + 1):
-            at_most[value] += at_most[value - size]
-    return at_most[m]
+    return _partitions_at_most(total - parts, parts) if parts <= total else 0
 
 
 def _ranges(np, start, stop):
@@ -322,30 +325,31 @@ def brute_force_min(
     """
     import numpy as np  # here, so that importing the package does not load numpy
 
-    if not 1 <= k_max <= MAX_PARTS:
-        raise DomainError(f"k_max must lie in [1, {MAX_PARTS}], got {k_max}")
-    if not 1 <= resolution <= MAX_RESOLUTION:
-        raise DomainError(f"resolution must lie in [1, {MAX_RESOLUTION}], got {resolution}")
+    limits = (("k_max", k_max, MAX_PARTS), ("resolution", resolution, MAX_RESOLUTION))
+    for name, value, top in limits:
+        if not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        if not 1 <= value <= top:
+            raise DomainError(f"{name} must lie in [1, {top}], got {value}")
     if not total > 0.0:
         raise DomainError(f"total area must be positive, got {total}")
 
-    evaluations = sum(_partition_count(resolution, k) for k in range(1, k_max + 1))
+    evaluations = _partitions_at_most(resolution, k_max)
     if evaluations > max_evaluations:
         raise ResourceError(
             f"{evaluations} candidate partitions exceed the budget of {max_evaluations}"
         )
 
-    unit = total / resolution
-    lo, hi = area_bounds(geometry, n)
-    perims = np.full(resolution + 1, np.inf)
-    for units in range(1, resolution + 1):
-        area = units * unit
-        if lo < area < hi:
-            perims[units] = n * _side(geometry, n, area)
-
     R = resolution
-    # 0 < u * unit < hi holds for an initial run of u, so perims is finite on 1..finite
-    finite = int(np.isfinite(perims).sum())
+    unit = total / R
+    lo, hi = area_bounds(geometry, n)
+    # k_max = 1 needs only u = R. 0 < u * unit < hi holds for an initial run
+    # of the unit counts u, so perims is finite exactly on first..finite.
+    first = R if k_max == 1 else 1
+    areas = np.arange(first, R + 1) * unit
+    finite = first - 1 + int(np.count_nonzero((lo < areas) & (areas < hi)))
+    perims = np.full(R + 1, np.inf)
+    perims[first : finite + 1] = n * _side(geometry, n, areas[: finite + 1 - first])
     best_perimeter = float(perims[R])
     best_units: tuple[int, ...] | None = (R,) if best_perimeter < math.inf else None
     for k in range(2, k_max + 1):

@@ -30,20 +30,13 @@ class Geometry(Enum):
     SPHERICAL = "spherical"
     HYPERBOLIC = "hyperbolic"
 
+    def __init__(self, kind: str) -> None:
+        # a plain attribute, not a property: the side kernel reads it per call
+        self.curvature: int = {"euclidean": 0, "spherical": 1, "hyperbolic": -1}[kind]
+
     @property
     def kind(self) -> str:
         return self.value
-
-    @property
-    def curvature(self) -> int:
-        return _CURVATURE[self]
-
-
-_CURVATURE = {
-    Geometry.EUCLIDEAN: 0,
-    Geometry.SPHERICAL: 1,
-    Geometry.HYPERBOLIC: -1,
-}
 
 
 def _check_sides(n: int) -> None:
@@ -72,7 +65,25 @@ def validate_area(geometry: Geometry, n: int, area: float) -> None:
         raise DomainError(f"area must be < {hi} for {geometry.kind} n={n}, got {area}")
 
 
-def _clamped_acos(u: float) -> float:
+def _each(fn, x):
+    """math's `fn` of a float, or of each element of a 1-D numpy array.
+
+    numpy's own transcendentals differ from math's in the last bit on some
+    inputs, so arrays go through math too and keep the bits of floats.
+    """
+    if not getattr(x, "ndim", 0):
+        return fn(x)
+    import numpy as np
+
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _clamped_acos(u):
+    if getattr(u, "ndim", 0):  # an array: its first element out of range raises
+        bad = (u > 1.0 + CLAMP_TOL) | (u < -1.0 - CLAMP_TOL)
+        if bad.any():
+            _clamped_acos(float(u[bad.argmax()]))
+        return _each(math.acos, u.clip(-1.0, 1.0))
     if u > 1.0:
         if u > 1.0 + CLAMP_TOL:
             raise DomainError(f"arccos argument {u} exceeds 1 beyond roundoff")
@@ -84,7 +95,12 @@ def _clamped_acos(u: float) -> float:
     return math.acos(u)
 
 
-def _clamped_acosh(u: float) -> float:
+def _clamped_acosh(u):
+    if getattr(u, "ndim", 0):  # an array: its first element out of range raises
+        bad = u < 1.0 - CLAMP_TOL
+        if bad.any():
+            _clamped_acosh(float(u[bad.argmax()]))
+        return _each(math.acosh, u.clip(1.0))
     if u < 1.0:
         if u < 1.0 - CLAMP_TOL:
             raise DomainError(f"arccosh argument {u} below 1 beyond roundoff")
@@ -102,7 +118,7 @@ def angle_from_area(geometry: Geometry, n: int, area: float) -> float:
     return _angle(geometry, n, area)
 
 
-def _angle(geometry: Geometry, n: int, area: float) -> float:
+def _angle(geometry: Geometry, n: int, area):
     # Gauss-Bonnet: n * angle = (n-2)*pi + K * area
     return ((n - 2) * math.pi + geometry.curvature * area) / n
 
@@ -162,11 +178,16 @@ def side_length(polygon: RegularPolygon) -> float:
     return _side(polygon.geometry, polygon.n, polygon.area)
 
 
-def _side(geometry: Geometry, n: int, area: float) -> float:
-    """side_length for an (n, area) the caller has already checked against area_bounds."""
+def _side(geometry: Geometry, n: int, area):
+    """side_length for an (n, area) the caller has already checked against area_bounds.
+
+    `area` is a float or a 1-D numpy array of areas. An array gives every
+    element the same bits as the float call: numpy does only the IEEE
+    arithmetic, and each transcendental step goes through math (`_each`).
+    """
     if geometry is Geometry.EUCLIDEAN:
-        return math.sqrt(4.0 * math.tan(math.pi / n) / n) * math.sqrt(area)
-    ratio = math.cos(math.pi / n) / math.sin(_angle(geometry, n, area) / 2.0)
+        return math.sqrt(4.0 * math.tan(math.pi / n) / n) * _each(math.sqrt, area)
+    ratio = math.cos(math.pi / n) / _each(math.sin, _angle(geometry, n, area) / 2.0)
     if geometry is Geometry.SPHERICAL:
         return 2.0 * _clamped_acos(ratio)
     return 2.0 * _clamped_acosh(ratio)

@@ -260,6 +260,16 @@ def test_split_sum_mismatch(capsys):
     assert "sum" in json.loads(err)["error"]["message"]
 
 
+def test_split_area_sum_is_left_to_right(capsys):
+    # sum() of floats is compensated from Python 3.12 on and would print 0.6
+    code, out, err = run_cli(
+        capsys, "split", "hyperbolic", "3", "--total-area", "0.7", "--areas", "0.1,0.2,0.3"
+    )
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert message == "areas sum to 0.6000000000000001, expected 0.7 within 1e-9"
+
+
 # ------------------------------------------------------------------- scan
 
 
@@ -383,6 +393,35 @@ def test_import_leaves_numpy_unloaded():
         "assert 'numpy' not in sys.modules, 'numpy loaded on import'\n"
         "best, _ = isoperim.brute_force_min(isoperim.Geometry.EUCLIDEAN, 4, 1.0, 2, 10)\n"
         "assert best.k == 1 and 'numpy' in sys.modules\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_scalar_paths_leave_numpy_unloaded():
+    # the float path of the side kernel, the decisions and four CLI commands
+    # run without numpy, and so does probing every attribute of every module
+    # for a cache_clear, as the benchmark does
+    code = (
+        "import contextlib, io, sys\n"
+        "import isoperim\n"
+        "from isoperim import Geometry, RegularPolygon, Configuration, cli\n"
+        "for g in Geometry:\n"
+        "    p = RegularPolygon(g, 5, 1.0)\n"
+        "    isoperim.perimeter(p), isoperim.side_length(p)\n"
+        "    isoperim.assess_two_split(g, 5, 2.0)\n"
+        "isoperim.merge_chain(Configuration(Geometry.HYPERBOLIC, 3, (1.0, 1.5)))\n"
+        "isoperim.counterexample_triangles(0.1)\n"
+        "argvs = [['perim', 'hyperbolic', '3', '--area', '1'],\n"
+        "         ['split', 'euclidean', '4', '--total-area', '25', '--areas', '9,16'],\n"
+        "         ['theta', '3'], ['theta', '--range', '3', '8'], ['scan', '--phi', '3']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert all(cli.main(argv) == 0 for argv in argvs)\n"
+        "for name, module in list(sys.modules.items()):\n"
+        "    if name == 'isoperim' or name.startswith('isoperim.'):\n"
+        "        for attr in dir(module):\n"
+        "            getattr(getattr(module, attr), 'cache_clear', None)\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

@@ -28,7 +28,7 @@ from isoperim import (
 )
 from isoperim import configurations
 from isoperim import geometry as geometry_module
-from isoperim.configurations import _partition_count
+from isoperim.configurations import _partition_count, _partitions_at_most
 from isoperim.geometry import area_bounds
 
 from conftest import (
@@ -384,6 +384,51 @@ def test_partition_count_small():
     assert _partition_count(10, 1) == 1
     assert _partition_count(10, 2) == 5
     assert _partition_count(2, 3) == 0
+
+
+def test_partition_counts_match_itertools():
+    # exactly[k][t]: sorted k-part vectors summing to t <= 60, enumerated as a
+    # sorted head of k - 1 parts (each <= t / 2 <= 30) and a last part at
+    # least the head's last
+    exactly = [[0] * 61 for _ in range(7)]
+    for k in range(1, 7):
+        for head in itertools.combinations_with_replacement(range(1, 31), k - 1):
+            for total in range(sum(head) + (head[-1] if head else 1), 61):
+                exactly[k][total] += 1
+    for total in range(61):
+        for parts in range(1, 7):
+            assert _partition_count(total, parts) == exactly[parts][total]
+            at_most = sum(exactly[k][total] for k in range(1, parts + 1)) + (total == 0)
+            assert _partitions_at_most(total, parts) == at_most
+
+
+@pytest.mark.parametrize("k_max,count", [(1, 1), (2, 1001), (3, 334334), (4, 55973223)])
+def test_brute_force_budget_text_at_max_resolution(k_max, count):
+    with pytest.raises(ResourceError) as info:
+        brute_force_min(HYP, 3, 1.0, k_max, 2000, max_evaluations=count - 1)
+    assert str(info.value) == f"{count} candidate partitions exceed the budget of {count - 1}"
+
+
+@pytest.mark.parametrize(
+    "k_max,resolution,message",
+    [
+        (2.5, 100, "k_max must be an integer, got 2.5"),
+        (2.0, 100, "k_max must be an integer, got 2.0"),
+        ("2", 100, "k_max must be an integer, got '2'"),
+        (2, 100.0, "resolution must be an integer, got 100.0"),
+    ],
+)
+def test_brute_force_rejects_non_integer_arguments(k_max, resolution, message):
+    with pytest.raises(DomainError) as info:
+        brute_force_min(EUC, 4, 1.0, k_max, resolution)
+    assert str(info.value) == message
+
+
+def test_brute_force_accepts_numpy_integers():
+    import numpy as np
+
+    expected = brute_force_min(EUC, 4, 1.0, 2, 10)
+    assert brute_force_min(EUC, 4, 1.0, np.int64(2), np.int32(10)) == expected
 
 
 def test_brute_force_euclidean_single_wins():

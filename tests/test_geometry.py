@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from isoperim import (
     perimeter,
     side_length,
 )
-from isoperim.geometry import _clamped_acos, _clamped_acosh
+from isoperim.geometry import _clamped_acos, _clamped_acosh, _side
 
 from conftest import SIDE_AREA_HALF_PI
 
@@ -196,6 +197,43 @@ def test_clamping_tolerance():
         _clamped_acos(1.0 + 1e-11)
     with pytest.raises(DomainError):
         _clamped_acosh(1.0 - 1e-11)
+
+
+def test_clamping_arrays_match_floats():
+    values = [0.5, 1.0 + 1e-13, -1.0 - 1e-13]
+    assert _clamped_acos(np.array(values)).tolist() == [_clamped_acos(u) for u in values]
+    values = [1.5, 1.0 - 1e-13, 1.0]
+    assert _clamped_acosh(np.array(values)).tolist() == [_clamped_acosh(u) for u in values]
+    # the first element out of range raises the float call's error
+    for clamp, values in (
+        (_clamped_acos, [0.5, -1.0 - 1e-11, 1.0 + 1e-11]),
+        (_clamped_acosh, [2.0, 1.0 - 1e-11, 0.5]),
+    ):
+        with pytest.raises(DomainError) as expected:
+            clamp(values[1])
+        with pytest.raises(DomainError) as got:
+            clamp(np.array(values))
+        assert str(got.value) == str(expected.value)
+
+
+LOG_TINY = math.log(1e-300)
+
+
+@given(
+    geometry=st.sampled_from(list(Geometry)),
+    log_n=st.floats(min_value=math.log(3), max_value=math.log(10**6)),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
+)
+@settings(deadline=None, max_examples=300)
+def test_side_of_an_array_keeps_the_bits_of_floats(geometry, log_n, fractions):
+    # areas log-uniform from 1e-300 to just below the top of the domain
+    n = round(math.exp(log_n))
+    hi = area_bounds(geometry, n)[1]
+    below_top = math.nextafter(min(hi, 1e308), 0.0)
+    log_top = math.log(below_top)
+    areas = [min(math.exp(LOG_TINY + f * (log_top - LOG_TINY)), below_top) for f in fractions]
+    expected = [_side(geometry, n, a).hex() for a in areas]
+    assert [v.hex() for v in _side(geometry, n, np.array(areas)).tolist()] == expected
 
 
 def test_area_bounds():
