@@ -2,23 +2,24 @@
 
 The hyperbolic half-side kernel maps an interior angle x to the half side
 length of the regular n-gon with that angle, so a polygon's perimeter is
-2*n times the kernel value. Its first three derivatives, the two-split
-objective and the equal-split margin drive the threshold computation; the
-spherical analogue supplies the concavity argument for the spherical case.
+2*n times the kernel value. The equal-split margin and its slope, built
+from the kernel and its first derivative, drive the threshold computation;
+the second and third derivatives and the two-split objective describe the
+kernel's shape, and the spherical analogue supplies the concavity argument
+for the spherical case.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+import sys
 from dataclasses import dataclass
 
-from .errors import ArgumentError, DomainError
+from .errors import DomainError
 from .geometry import _check_sides, _clamped_acos
 
-SUM_TOL = 1e-12
-
 _SQRT2 = math.sqrt(2.0)
+_FLOOR_EPS = 4.0 * sys.float_info.epsilon
 
 
 def _require_angle(n: int, x: float) -> None:
@@ -96,6 +97,11 @@ def half_side(n: int, x: float) -> float:
     result is arccosh(1 + delta) = log1p(delta + sqrt(delta*(delta+2))).
     """
     _require_angle(n, x)
+    return _half_side(n, x)
+
+
+def _half_side(n: int, x: float) -> float:
+    """half_side without the domain check."""
     a = math.pi / n
     h = 0.5 * (math.pi - x)
     delta = 2.0 * math.sin(0.5 * (h + a)) * math.sin(0.5 * (h - a)) / math.sin(0.5 * x)
@@ -114,6 +120,11 @@ def _denominator(n: int, x: float) -> float:
 def half_side_d1(n: int, x: float) -> float:
     """First derivative of the half-side kernel; negative on the whole domain."""
     _require_angle(n, x)
+    return _half_side_d1(n, x)
+
+
+def _half_side_d1(n: int, x: float) -> float:
+    """half_side_d1 without the domain check."""
     d = _denominator(n, x)
     if d <= 0.0:
         return -math.inf
@@ -203,23 +214,26 @@ def equal_split_margin(n: int, x: float) -> float:
     unique root of this margin is the critical angle.
     """
     _require_angle(n, x)
-    inner = x / 2.0 + math.pi / 2.0 - math.pi / n
-    return 2.0 * half_side(n, inner) - half_side(n, x)
+    # next to the flat angle the inner angle can round onto it, where the margin's sign is lost
+    _require_angle(n, _inner_angle(n, x))
+    return _margin_terms(n, x, with_slope=False)[0]
 
 
-def check_concave_split(
-    f: Callable[[float], float], a: float, b: float, c: float, d: float
-) -> bool:
-    """Whether f(c) + f(d) strictly exceeds f(a) + f(b) for a conserved sum.
+def _inner_angle(n: int, x: float) -> float:
+    """Angle (x + flat)/2 of each half of the equal split, as x/2 + pi/2 - pi/n."""
+    return x / 2.0 + math.pi / 2.0 - math.pi / n
 
-    Requires a + b = c + d (within SUM_TOL); for strictly concave f with
-    c, d interior to [a, b] the answer is always True.
+
+def _margin_terms(n: int, x: float, with_slope: bool = True) -> tuple[float, float, float]:
+    """Equal-split margin at x, its slope (0.0 unless with_slope) and its rounding floor.
+
+    No domain check. The floor 4*eps*(2K(inner) + K(x)) bounds the rounding
+    error of the margin's two terms (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 1-3), so a margin within it is zero.
     """
-    if abs((a + b) - (c + d)) > SUM_TOL:
-        raise ArgumentError(f"endpoint sums differ: {a + b} vs {c + d}")
-    return f(c) + f(d) > f(a) + f(b)
+    inner = _inner_angle(n, x)
+    outer = 2.0 * _half_side(n, inner)
+    k = _half_side(n, x)
+    slope = _half_side_d1(n, inner) - _half_side_d1(n, x) if with_slope else 0.0
+    return outer - k, slope, _FLOOR_EPS * (outer + k)
 
-
-def central_difference(f: Callable[[float], float], x: float, h: float = 1e-6) -> float:
-    """Symmetric finite-difference estimate of f'(x) with step h."""
-    return (f(x + h) - f(x - h)) / (2.0 * h)

@@ -1,12 +1,14 @@
 """Critical angle and inflection point of the half-side kernel.
 
 For each side count n the second derivative of the half-side kernel has a
-single zero (the inflection point), and the equal-split margin has a single
-root below it (the critical angle). Both are located by a bracketed Newton
-iteration on the closed-form derivatives: a Newton step is taken only when
-it lands strictly inside the current sign bracket, and a bisection step
-otherwise, so the iteration converges unconditionally and, near the root,
-quadratically.
+single zero, the inflection point x0, in closed form: with
+d = cos(2*pi/n) + cos(x), the zero condition csc^2(x/2)*d = sin(x)*cot(x/2)
+becomes cos^2(x0/2) = sin(pi/n). The equal-split margin has a single root
+below x0 (the critical angle), located by a bracketed Newton iteration on
+the margin's closed-form slope: a Newton step is taken only when it lands
+strictly inside the current sign bracket, and a bisection step otherwise,
+so the iteration converges unconditionally and, near the root,
+quadratically. It stops once the margin is within its own rounding floor.
 """
 
 from __future__ import annotations
@@ -16,14 +18,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .analysis import (
-    AnalysisDomain,
-    equal_split_margin,
-    half_side_d1,
-    half_side_d2,
-    half_side_d3,
-)
+from .analysis import _margin_terms
 from .errors import BracketError, ConvergenceError
+from .geometry import _check_sides
 
 MAX_ITERATIONS = 200
 WIDTH_TOL = 1e-15
@@ -49,76 +46,63 @@ class ThresholdResult:
 
 
 def _bisect(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float,
-    df: Callable[[float], float] | None = None,
+    f: Callable[[float], tuple[float, float, float]], lo: float, hi: float,
+    flo: float | None = None, fhi: float | None = None,
 ) -> tuple[float, int, float]:
     """Bracketed root finder; returns (root, iterations, |f(root)|).
 
+    f(x) returns (value, slope, floor): the function value, its derivative
+    (0.0 for none) and the magnitude at or below which the value counts as
+    zero. flo and fhi are the values at lo and hi when the caller has them.
     Every iterate shrinks the sign bracket [lo, hi]. The first iterate is
-    the midpoint; after that, when the derivative df is given and the Newton
-    step from the latest iterate lands strictly inside the bracket, its
+    the midpoint; after that, when the slope at the latest iterate is
+    nonzero and its Newton step lands strictly inside the bracket, its
     target is the next iterate, and otherwise the midpoint is. Stops once
-    |f| <= tol, the bracket is at most WIDTH_TOL wide, or the Newton step is
-    at most STEP_ULPS ulps long. Without df this is plain bisection.
+    |value| <= floor, the bracket is at most WIDTH_TOL wide, or the Newton
+    step is at most STEP_ULPS ulps long. With slope 0.0 this is plain
+    bisection.
     """
-    flo = f(lo)
+    flo = f(lo)[0] if flo is None else flo
     if flo == 0.0:
         return lo, 0, 0.0
-    fhi = f(hi)
+    fhi = f(hi)[0] if fhi is None else fhi
     if fhi == 0.0:
         return hi, 0, 0.0
     if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo} and {fhi}")
+        raise BracketError(
+            f"no sign change on [{lo}, {hi}]: f={flo} and {fhi}", bracket=(lo, hi)
+        )
     x = 0.5 * (lo + hi)
     for i in range(1, MAX_ITERATIONS + 1):
-        fx = f(x)
-        if abs(fx) <= tol or (hi - lo) <= WIDTH_TOL:
+        fx, slope, floor = f(x)
+        if abs(fx) <= floor or (hi - lo) <= WIDTH_TOL:
             return x, i, abs(fx)
         if math.copysign(1.0, fx) == math.copysign(1.0, flo):
             lo, flo = x, fx
         else:
             hi = x
         x_next = 0.5 * (lo + hi)
-        if df is not None:
-            slope = df(x)
-            if slope != 0.0 and math.isfinite(slope):
-                step = fx / slope
-                if abs(step) <= STEP_ULPS * math.ulp(x):
-                    return x, i, abs(fx)
-                if lo < x - step < hi:
-                    x_next = x - step
+        if slope != 0.0 and math.isfinite(slope):
+            step = fx / slope
+            if abs(step) <= STEP_ULPS * math.ulp(x):
+                return x, i, abs(fx)
+            if lo < x - step < hi:
+                x_next = x - step
         x = x_next
-    raise ConvergenceError(f"bisection did not converge in {MAX_ITERATIONS} iterations")
+    raise ConvergenceError(
+        f"bisection did not converge in {MAX_ITERATIONS} iterations",
+        bracket=(lo, hi), residual=abs(fx),
+    )
 
 
 @lru_cache(maxsize=None)
 def inflection_point(n: int) -> float:
-    """Unique zero of the kernel's second derivative on its angle domain."""
-    dom = AnalysisDomain(n)
-    hi = dom.hi
+    """Unique zero of the kernel's second derivative on its angle domain.
 
-    x_pos = hi / 2.0
-    while not half_side_d2(n, x_pos) > 0.0:
-        x_pos /= 2.0
-        if x_pos < 1e-15:
-            raise BracketError(f"no positive value of the second derivative for n={n}")
-    offset = hi / 4.0
-    while not half_side_d2(n, hi - offset) < 0.0:
-        offset /= 2.0
-        if offset < 1e-15:
-            raise BracketError(f"no negative value of the second derivative for n={n}")
-
-    root, _, residual = _bisect(
-        lambda x: half_side_d2(n, x), x_pos, hi - offset, 0.0, lambda x: half_side_d3(n, x)
-    )
-    if residual > RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"inflection residual {residual} exceeds {RESIDUAL_TOL} for n={n}"
-        )
-    return root
+    The zero satisfies cos^2(x0/2) = sin(pi/n), so x0 = 2*acos(sqrt(sin(pi/n))).
+    """
+    _check_sides(n)
+    return 2.0 * math.acos(math.sqrt(math.sin(math.pi / n)))
 
 
 @lru_cache(maxsize=None)
@@ -129,24 +113,22 @@ def critical_angle(n: int) -> ThresholdResult:
     and halving down from there must reach a negative value.
     """
     x0 = inflection_point(n)
-    if not equal_split_margin(n, x0) > 0.0:
-        raise BracketError(f"margin not positive at the inflection point for n={n}")
+    fhi = _margin_terms(n, x0, with_slope=False)[0]
+    if not fhi > 0.0:
+        raise BracketError(f"margin not positive at the inflection point for n={n}", n=n)
     lo = x0 / 2.0
-    while not equal_split_margin(n, lo) < 0.0:
+    while not (flo := _margin_terms(n, lo, with_slope=False)[0]) < 0.0:
         lo /= 2.0
         if lo < 1e-15:
-            raise BracketError(f"margin never negative above 1e-15 for n={n}")
+            raise BracketError(
+                f"margin never negative above 1e-15 for n={n}", n=n, bracket=(lo, x0)
+            )
 
-    root, iterations, residual = _bisect(
-        lambda x: equal_split_margin(n, x),
-        lo,
-        x0,
-        0.0,
-        lambda x: half_side_d1(n, x / 2.0 + math.pi / 2.0 - math.pi / n) - half_side_d1(n, x),
-    )
+    root, iterations, residual = _bisect(lambda x: _margin_terms(n, x), lo, x0, flo, fhi)
     if residual > RESIDUAL_TOL:
         raise ConvergenceError(
-            f"critical-angle residual {residual} exceeds {RESIDUAL_TOL} for n={n}"
+            f"critical-angle residual {residual} exceeds {RESIDUAL_TOL} for n={n}",
+            n=n, bracket=(lo, x0), residual=residual,
         )
     max_area = (n - 2) * math.pi - n * root
     return ThresholdResult(

@@ -62,3 +62,28 @@ def staged_scan_root(
         lo, hi = float(xs[flips[0]]), float(xs[flips[0] + 1])
         if hi - lo <= target_resolution:
             return 0.5 * (lo + hi)
+
+
+# Largest difference of two endpoint sums that still counts as one conserved sum.
+SUM_TOL = 1e-12
+
+
+def check_concave_split(
+    f: Callable[[float], float], a: float, b: float, c: float, d: float
+) -> bool:
+    """Whether f(c) + f(d) strictly exceeds f(a) + f(b) for a conserved sum.
+
+    Requires a + b = c + d (within SUM_TOL); for strictly concave f with
+    c, d interior to [a, b] the answer is always True.
+    """
+    if abs((a + b) - (c + d)) > SUM_TOL:
+        # imported here: bench/test_reference.py loads this file without the package
+        from isoperim import ArgumentError
+
+        raise ArgumentError(f"endpoint sums differ: {a + b} vs {c + d}")
+    return f(c) + f(d) > f(a) + f(b)
+
+
+def central_difference(f: Callable[[float], float], x: float, h: float = 1e-6) -> float:
+    """Symmetric finite-difference estimate of f'(x) with step h."""
+    return (f(x + h) - f(x - h)) / (2.0 * h)

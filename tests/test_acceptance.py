@@ -17,7 +17,6 @@ from isoperim import (
     Verdict,
     assess_two_split,
     brute_force_min,
-    central_difference,
     counterexample_triangles,
     critical_angle,
     equal_split_margin,
@@ -31,7 +30,7 @@ from isoperim import (
     perimeter,
 )
 
-from conftest import sign_changes, staged_scan_root
+from conftest import central_difference, sign_changes, staged_scan_root
 
 HYP = Geometry.HYPERBOLIC
 SPH = Geometry.SPHERICAL

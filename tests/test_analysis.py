@@ -14,8 +14,6 @@ from isoperim import (
     Geometry,
     RegularPolygon,
     SplitFunctionParams,
-    central_difference,
-    check_concave_split,
     equal_split_margin,
     half_side,
     half_side_d1,
@@ -28,7 +26,13 @@ from isoperim import (
     split_objective,
 )
 
-from conftest import HALF_SIDE_3_PI6, HALF_SIDE_4_PI4, sign_changes
+from conftest import (
+    HALF_SIDE_3_PI6,
+    HALF_SIDE_4_PI4,
+    central_difference,
+    check_concave_split,
+    sign_changes,
+)
 
 mp.mp.dps = 50
 

@@ -13,6 +13,7 @@ from isoperim import (
     half_side_d2,
     inflection_point,
 )
+from isoperim import threshold
 from isoperim.threshold import _bisect
 
 from conftest import MAX_AREA_3, THETA_3, THETA_4, THETA_5, X0_3, staged_scan_root
@@ -26,33 +27,33 @@ def domain_hi(n: int) -> float:
 
 
 def test_bisect_linear():
-    assert _bisect(lambda x: x - 1.0, 0.0, 2.0, 1e-12)[0] == pytest.approx(1.0, abs=1e-12)
+    assert _bisect(lambda x: (x - 1.0, 0.0, 1e-12), 0.0, 2.0)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bisect_cosine():
-    root = _bisect(math.cos, 0.0, 3.0, 1e-13)[0]
+    root = _bisect(lambda x: (math.cos(x), 0.0, 1e-13), 0.0, 3.0)[0]
     assert root == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_bisect_margin_bracket():
-    root = _bisect(lambda x: equal_split_margin(3, x), 0.2, 0.3, 1e-12)[0]
+    root = _bisect(lambda x: (equal_split_margin(3, x), 0.0, 1e-12), 0.2, 0.3)[0]
     assert root == pytest.approx(THETA_3, abs=1e-10)
 
 
 def test_bisect_same_sign_raises():
     with pytest.raises(BracketError):
-        _bisect(lambda x: x + 10.0, 0.0, 1.0, 1e-10)
+        _bisect(lambda x: (x + 10.0, 0.0, 1e-10), 0.0, 1.0)
 
 
 def test_bisect_root_at_endpoint():
-    assert _bisect(lambda x: x, 0.0, 1.0, 1e-10)[0] == 0.0
+    assert _bisect(lambda x: (x, 0.0, 1e-10), 0.0, 1.0)[0] == 0.0
 
 
 def test_bisect_exhausts_iterations():
     # a sign step on an interval too wide to collapse within the budget
     step = lambda x: 1.0 if x >= 1.0 else -1.0
     with pytest.raises(ConvergenceError):
-        _bisect(step, 0.0, 1e60, 1e-3)
+        _bisect(lambda x: (step(x), 0.0, 1e-3), 0.0, 1e60)
 
 
 def test_newton_falls_back_to_bisection_outside_bracket():
@@ -60,11 +61,48 @@ def test_newton_falls_back_to_bisection_outside_bracket():
     # bracket; the safeguarded iteration must still close in on 0, and
     # faster than the 56 steps of plain bisection
     root, iterations, residual = _bisect(
-        math.atan, -1.0, 20.0, 0.0, lambda x: 1.0 / (1.0 + x * x)
+        lambda x: (math.atan(x), 1.0 / (1.0 + x * x), 0.0), -1.0, 20.0
     )
     assert abs(root) <= 1e-15
     assert residual == abs(math.atan(root))
     assert iterations <= 15
+
+
+def test_solver_errors_carry_n_bracket_and_residual(monkeypatch):
+    with pytest.raises(BracketError) as info:
+        _bisect(lambda x: (x + 10.0, 0.0, 1e-10), 0.0, 1.0)
+    assert (info.value.n, info.value.bracket, info.value.residual) == (None, (0.0, 1.0), None)
+    assert str(info.value) == "no sign change on [0.0, 1.0]: f=10.0 and 11.0"
+
+    with pytest.raises(ConvergenceError) as info:
+        _bisect(lambda x: (1.0 if x >= 1.0 else -1.0, 0.0, 1e-3), 0.0, 1e60)
+    lo, hi = info.value.bracket
+    assert info.value.n is None and lo < 1.0 <= hi and info.value.residual == 1.0
+
+    x0 = inflection_point(3)
+    critical_angle.cache_clear()
+    monkeypatch.setattr(threshold, "RESIDUAL_TOL", -1.0)
+    with pytest.raises(ConvergenceError) as info:
+        critical_angle(3)
+    err = info.value
+    assert err.n == 3 and err.bracket[0] < THETA_3 < err.bracket[1] == x0
+    assert err.residual >= 0.0
+    assert str(err) == f"critical-angle residual {err.residual} exceeds -1.0 for n=3"
+    monkeypatch.undo()
+
+    monkeypatch.setattr(threshold, "_margin_terms", lambda n, x, with_slope=True: (1.0, 0.0, 0.0))
+    with pytest.raises(BracketError) as info:
+        critical_angle(4)
+    err = info.value
+    assert err.n == 4 and err.bracket[0] < 1e-15 and err.bracket[1] == inflection_point(4)
+    assert err.residual is None
+    assert str(err) == "margin never negative above 1e-15 for n=4"
+
+    monkeypatch.setattr(threshold, "_margin_terms", lambda n, x, with_slope=True: (-1.0, 0.0, 0.0))
+    with pytest.raises(BracketError) as info:
+        critical_angle(5)
+    assert (info.value.n, info.value.bracket, info.value.residual) == (5, None, None)
+    assert str(info.value) == "margin not positive at the inflection point for n=5"
 
 
 # ------------------------------------------------------- inflection point
@@ -89,6 +127,33 @@ def test_inflection_deterministic():
     inflection_point.cache_clear()
     critical_angle.cache_clear()
     assert inflection_point(7) == first
+
+
+def mp_half_side(n: int, x: mp.mpf) -> mp.mpf:
+    """Half-side kernel K(x) = arccosh(cos(pi/n)/sin(x/2))."""
+    return mp.acosh(mp.cos(mp.pi / n) / mp.sin(x / 2))
+
+
+# Measured worst case 2.9e-16 (at n = 3) over n = 3..3000 and 8800 more
+# log-uniform n up to 10^6.
+X0_REL_TOL = 3e-16
+
+
+@given(log_n=st.floats(min_value=math.log(3), max_value=math.log(10**6)))
+@example(log_n=math.log(3))
+@example(log_n=math.log(10**6))
+@settings(deadline=None, max_examples=60)
+def test_inflection_point_matches_high_precision(log_n):
+    n = min(max(round(math.exp(log_n)), 3), 10**6)
+    x0 = inflection_point(n)
+    with mp.workdps(40):
+        exact = 2 * mp.acos(mp.sqrt(mp.sin(mp.pi / n)))
+        assert abs((x0 - exact) / exact) <= X0_REL_TOL
+        # independently of the closed form: the kernel's numerical second
+        # derivative changes sign from positive to negative across x0
+        k = lambda t: mp_half_side(n, t)  # noqa: E731
+        lo, hi = mp.mpf(x0) * (1 - mp.mpf(1e-9)), mp.mpf(x0) * (1 + mp.mpf(1e-9))
+        assert mp.diff(k, lo, 2) > 0 > mp.diff(k, hi, 2)
 
 
 # --------------------------------------------------------- critical angle
@@ -163,10 +228,18 @@ def test_iteration_count_bound():
     assert worst <= 20
 
 
+# Iterations with the stop at the margin's rounding floor. A solve that ran
+# on to the bracket-width limit took 13, 18, 24 and 22.
+@pytest.mark.parametrize("n, bound", [(1000, 7), (158489, 13), (501187, 12), (10**6, 12)])
+def test_solve_stops_at_rounding_floor(n, bound):
+    res = critical_angle(n)
+    assert res.iterations <= bound
+    assert res.residual <= threshold._margin_terms(n, res.critical_angle)[2]
+
+
 def mp_margin(n: int, x: mp.mpf) -> mp.mpf:
     """Equal-split margin 2K(x/2 + pi/2 - pi/n) - K(x) from the arccosh form."""
-    k = lambda t: mp.acosh(mp.cos(mp.pi / n) / mp.sin(t / 2))  # noqa: E731
-    return 2 * k(x / 2 + mp.pi / 2 - mp.pi / n) - k(x)
+    return 2 * mp_half_side(n, x / 2 + mp.pi / 2 - mp.pi / n) - mp_half_side(n, x)
 
 
 # Measured worst case 8.9e-13 over about 2600 sampled n, near n = 10^6,
