@@ -215,7 +215,12 @@ def equal_split_margin(n: int, x: float) -> float:
     """
     _require_angle(n, x)
     # next to the flat angle the inner angle can round onto it, where the margin's sign is lost
-    _require_angle(n, _inner_angle(n, x))
+    flat = (n - 2) * math.pi / n
+    if not _inner_angle(n, x) < flat:
+        raise DomainError(
+            f"angle {x} is too close to the flat angle {flat}: "
+            "the equal split's inner angle rounds onto it"
+        )
     return _margin_terms(n, x, with_slope=False)[0]
 
 

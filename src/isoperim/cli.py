@@ -27,6 +27,7 @@ from .analysis import (
 )
 from .configurations import (
     Configuration,
+    _part_perimeters,
     assess_configuration,
     assess_two_split,
     counterexample_triangles,
@@ -37,7 +38,6 @@ from .geometry import (
     Geometry,
     RegularPolygon,
     area_from_angle,
-    perimeter,
     side_length,
 )
 from .threshold import critical_angle
@@ -106,8 +106,12 @@ def _emit_record(
     }
     if diagnostics is not None:
         record["diagnostics"] = diagnostics
-    _assert_finite(record)
-    print(json.dumps(record, separators=(",", ":")))
+    try:
+        text = json.dumps(record, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        _assert_finite(record)  # names the non-finite value
+        raise
+    print(text)
 
 
 def _emit_error(command: str, exc: Exception) -> None:
@@ -120,9 +124,9 @@ def _emit_error(command: str, exc: Exception) -> None:
 
 
 def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    lines = [",".join(header)]
+    lines += (",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _geometry(name: str) -> Geometry:
@@ -148,15 +152,11 @@ def _cmd_perim(args: argparse.Namespace) -> int:
         area = args.area
         inputs = {"geometry": geometry.kind, "n": args.n, "area": area}
     polygon = RegularPolygon(geometry, args.n, area)
+    side = side_length(polygon)
     _emit_record(
         "perim",
         inputs,
-        {
-            "area": polygon.area,
-            "angle": polygon.angle,
-            "side": side_length(polygon),
-            "perimeter": perimeter(polygon),
-        },
+        {"area": polygon.area, "angle": polygon.angle, "side": side, "perimeter": args.n * side},
     )
     return 0
 
@@ -220,7 +220,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
         "config_perimeter": assessment.config_perimeter,
     }
     if args.areas is not None:
-        results["part_perimeters"] = [perimeter(p) for p in config.polygons()]
+        results["part_perimeters"] = _part_perimeters(config)
     if assessment.witness is not None:
         results["witness_areas"] = list(assessment.witness.areas)
     _emit_record("split", inputs, results)

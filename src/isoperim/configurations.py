@@ -16,9 +16,9 @@ from functools import reduce
 from itertools import accumulate
 from operator import add
 
-from .analysis import SplitFunctionParams, split_objective
+from .analysis import SplitFunctionParams, _half_side, split_objective
 from .errors import ConvergenceError, DomainError, ResourceError
-from .geometry import Geometry, RegularPolygon, _side, area_bounds, perimeter, validate_area
+from .geometry import Geometry, RegularPolygon, _angle, _side, area_bounds, validate_area
 from .threshold import critical_angle
 
 # Perimeter differences smaller than this are reported as ties rather than
@@ -69,9 +69,14 @@ def total_area(config: Configuration) -> float:
     return reduce(add, config.areas)
 
 
+def _part_perimeters(config: Configuration) -> list[float]:
+    """Perimeter of each part, with no area check: the Configuration made them."""
+    return [config.n * _side(config.geometry, config.n, a) for a in config.areas]
+
+
 def total_perimeter(config: Configuration) -> float:
     """Sum of the polygon perimeters, accumulated left to right."""
-    return reduce(add, (perimeter(p) for p in config.polygons()))
+    return reduce(add, _part_perimeters(config))
 
 
 @dataclass(frozen=True)
@@ -116,19 +121,18 @@ def euclidean_pythagoras_check(a1: float, a2: float, n: int) -> tuple[float, flo
     Since a = p^2 / (4 n tan(pi/n)), the three perimeters always satisfy
     p^2 = p1^2 + p2^2, hence p < p1 + p2 for two non-degenerate parts.
     """
-    p1, p2, p = (
-        perimeter(RegularPolygon(Geometry.EUCLIDEAN, n, a)) for a in (a1, a2, a1 + a2)
-    )
+    p1, p2, p = (RegularPolygon(Geometry.EUCLIDEAN, n, a).perimeter for a in (a1, a2, a1 + a2))
     return p1, p2, p
 
 
 def _equal_split_witness(
-    geometry: Geometry, n: int, area: float, single_perimeter: float
+    geometry: Geometry, n: int, total: float, single_perimeter: float
 ) -> Configuration | None:
-    half = area / 2.0
-    halves = Configuration(geometry, n, (half, half))
-    if total_perimeter(halves) < single_perimeter - TIE_TOL:
-        return halves
+    # the half goes unchecked: one that rounds to 0 has perimeter 0 and never wins
+    half = total / 2.0
+    p = n * _side(geometry, n, half)
+    if p + p < single_perimeter - TIE_TOL:
+        return Configuration(geometry, n, (half, half))
     return None
 
 
@@ -146,15 +150,17 @@ def assess_two_split(
     and spherical splits always lose; they are assessed at equal areas and
     theta1 is rejected there.
     """
-    single = RegularPolygon(geometry, n, total)
-    single_p = perimeter(single)
-    angle = single.angle
+    validate_area(geometry, n, total)
+    single_p = n * _side(geometry, n, total)
+    angle = _angle(geometry, n, total)
 
     if geometry is not Geometry.HYPERBOLIC:
         if theta1 is not None:
             raise DomainError("theta1 applies only to hyperbolic splits")
-        half = RegularPolygon(geometry, n, total / 2.0)
-        config_p = 2.0 * perimeter(half)
+        half = total / 2.0
+        if not half > 0.0:
+            raise DomainError(f"total area {total} is too small to split for {geometry.kind} n={n}")
+        config_p = 2.0 * (n * _side(geometry, n, half))
         return SplitAssessment(
             single_perimeter=single_p,
             config_perimeter=config_p,
@@ -166,9 +172,11 @@ def assess_two_split(
     if not angle + flat < 2.0 * flat:
         raise DomainError(f"total area {total} is too small to split for hyperbolic n={n}")
     params = SplitFunctionParams(n, angle + flat)
-    if theta1 is None:
-        theta1 = params.c / 2.0
-    config_p = 2.0 * n * split_objective(params, theta1)
+    if theta1 is None:  # c - c/2 is c/2 exactly, inside the checked split domain
+        k = _half_side(n, params.c / 2.0)
+        config_p = 2.0 * n * (k + k)
+    else:
+        config_p = 2.0 * n * split_objective(params, theta1)
     threshold = critical_angle(n)
     return SplitAssessment(
         single_perimeter=single_p,
@@ -190,36 +198,27 @@ def merge_chain(config: Configuration) -> SplitAssessment:
     """
     if config.geometry is not Geometry.HYPERBOLIC:
         raise DomainError("merge chains are defined for hyperbolic configurations")
-    total = total_area(config)
-    single = RegularPolygon(config.geometry, config.n, total)
-    single_p = perimeter(single)
-    config_p = total_perimeter(config)
+    geometry, n = config.geometry, config.n
+    merged_areas = list(accumulate(config.areas))  # left to right: the last is total_area
+    total = merged_areas[-1]
+    validate_area(geometry, n, total)  # the merged areas rise to it: this checks them all
+    parts = _part_perimeters(config)
+    merged = parts[:1] + [n * _side(geometry, n, a) for a in merged_areas[1:]]
+    steps = tuple(
+        MergeStep(pair_perimeter=p + q, merged_area=a, merged_perimeter=m)
+        for p, q, a, m in zip(merged, parts[1:], merged_areas[1:], merged[1:])
+    )
+    single_p, config_p = merged[-1], reduce(add, parts)
 
-    steps: list[MergeStep] = []
-    prefix_area = config.areas[0]
-    prefix_p = perimeter(RegularPolygon(config.geometry, config.n, prefix_area))
-    for area in config.areas[1:]:
-        merged_area = prefix_area + area
-        piece_p = perimeter(RegularPolygon(config.geometry, config.n, area))
-        merged_p = perimeter(RegularPolygon(config.geometry, config.n, merged_area))
-        steps.append(
-            MergeStep(
-                pair_perimeter=prefix_p + piece_p,
-                merged_area=merged_area,
-                merged_perimeter=merged_p,
-            )
-        )
-        prefix_area, prefix_p = merged_area, merged_p
-
-    threshold = critical_angle(config.n)
+    threshold = critical_angle(n)
     return SplitAssessment(
         single_perimeter=single_p,
         config_perimeter=config_p,
         verdict=_verdict(config_p, single_p),
-        angle=single.angle,
+        angle=_angle(geometry, n, total),
         critical_angle=threshold.critical_angle,
-        witness=_equal_split_witness(config.geometry, config.n, total, single_p),
-        merge_steps=tuple(steps),
+        witness=_equal_split_witness(geometry, n, total, single_p),
+        merge_steps=steps,
     )
 
 
@@ -232,14 +231,15 @@ def assess_configuration(config: Configuration) -> SplitAssessment:
     """
     if config.geometry is Geometry.HYPERBOLIC:
         return merge_chain(config)
-    single = RegularPolygon(config.geometry, config.n, total_area(config))
-    single_p = perimeter(single)
+    total = total_area(config)
+    validate_area(config.geometry, config.n, total)
+    single_p = config.n * _side(config.geometry, config.n, total)
     config_p = total_perimeter(config)
     return SplitAssessment(
         single_perimeter=single_p,
         config_perimeter=config_p,
         verdict=_verdict(config_p, single_p),
-        angle=single.angle,
+        angle=_angle(config.geometry, config.n, total),
     )
 
 
@@ -270,7 +270,7 @@ def counterexample_triangles(epsilon: float) -> CounterexampleResult:
     )
     single = RegularPolygon(Geometry.HYPERBOLIC, 3, math.pi - 3.0 * epsilon)
     split_p = total_perimeter(config)
-    single_p = perimeter(single)
+    single_p = single.perimeter
     pair_bound = 6.0 * math.acosh(3.0 + 2.0 * math.sqrt(3.0))
     if not split_p <= pair_bound + TIE_TOL:
         raise ConvergenceError(f"pair perimeter {split_p} exceeds its bound {pair_bound}")

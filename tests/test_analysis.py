@@ -295,6 +295,26 @@ def test_margin_domain():
         equal_split_margin(3, domain_hi(3))
 
 
+@pytest.mark.parametrize("n", [3, 7, 1000])
+def test_margin_next_to_the_flat_angle_names_the_angle(n):
+    # within about an ulp below the flat angle the equal split's inner angle
+    # rounds onto it; the margin there would come out with the wrong sign
+    hi, x, raised = domain_hi(n), domain_hi(n), 0
+    for _ in range(4):
+        x = math.nextafter(x, 0.0)
+        try:
+            margin = equal_split_margin(n, x)
+        except DomainError as exc:
+            assert str(exc) == (
+                f"angle {x} is too close to the flat angle {hi}: "
+                "the equal split's inner angle rounds onto it"
+            )
+            raised += 1
+        else:
+            assert margin > 0.0
+    assert raised >= 1
+
+
 # ------------------------------------------------------ concave-split check
 
 

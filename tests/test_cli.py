@@ -1,5 +1,7 @@
+import fcntl
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -226,6 +228,29 @@ def test_split_hyperbolic_total_too_small(capsys):
     assert error["error"]["message"].startswith("total area 1e-300 is too small to split")
 
 
+@pytest.mark.parametrize("geometry", ["euclidean", "spherical"])
+def test_split_total_whose_half_underflows(capsys, geometry):
+    # 5e-324 / 2 rounds to 0: the error names the total the user gave
+    code, out, err = run_cli(capsys, "split", geometry, "3", "--total-area", "5e-324")
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    jsonschema.validate(error, ERROR_SCHEMA)
+    assert error["error"] == {
+        "type": "DomainError",
+        "message": f"total area 5e-324 is too small to split for {geometry} n=3",
+    }
+
+
+def test_split_hyperbolic_part_whose_half_underflows(capsys):
+    code, out, err = run_cli(
+        capsys, "split", "hyperbolic", "3", "--total-area", "5e-324", "--areas", "5e-324"
+    )
+    assert code == 0 and err == ""
+    results = record_of(out)["results"]
+    assert results["verdict"] == "tie"
+    assert "witness_areas" not in results
+
+
 def test_split_hyperbolic_multi_part(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -384,6 +409,25 @@ def test_subprocess_byte_identical():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.returncode == 0
+
+
+def test_reader_closing_the_pipe_early_is_not_an_error():
+    # a 4 KiB pipe cannot hold the scan's ~40 KB of CSV, so the write is
+    # still going on when the reader closes its end after the first line;
+    # buffered stdout then raises BrokenPipeError (unbuffered stdout would
+    # drop the rest of a partial write without an error)
+    read_end, write_end = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    cmd = [sys.executable, "-m", "isoperim", "scan", "--phi", "3"]
+    proc = subprocess.Popen(cmd, stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        assert reader.readline() == b"x,value\n"
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""
 
 
 def test_import_leaves_numpy_unloaded():

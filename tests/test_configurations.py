@@ -1,5 +1,8 @@
+import dataclasses
+import functools
 import itertools
 import math
+import operator
 import random
 import subprocess
 import sys
@@ -12,8 +15,11 @@ from isoperim import (
     Configuration,
     DomainError,
     Geometry,
+    MergeStep,
     RegularPolygon,
     ResourceError,
+    SplitAssessment,
+    SplitFunctionParams,
     Verdict,
     assess_configuration,
     assess_two_split,
@@ -23,6 +29,7 @@ from isoperim import (
     euclidean_pythagoras_check,
     merge_chain,
     perimeter,
+    split_objective,
     total_area,
     total_perimeter,
 )
@@ -578,3 +585,190 @@ def test_brute_force_exact_ties_match_reference(monkeypatch, k_max):
             assert_matches_reference(g, n, float(resolution), k_max, resolution)
     best, p = brute_force_min(HYP, 3, 4.0, k_max, 4)
     assert (best.areas, p) == ((1.0, 3.0), 12.0)
+
+
+# ------------------------------------- decision bits against a public reference
+#
+# The references below rebuild every decision from public
+# perimeter(RegularPolygon(...)) calls, one polygon per perimeter, in the
+# order the decisions add them; the library computes each distinct perimeter
+# once, and must give the same bits.
+
+
+def _polygon_perimeter(geometry, n, area):
+    return perimeter(RegularPolygon(geometry, n, area))
+
+
+def _reference_witness(geometry, n, total, single_p):
+    half = total / 2.0
+    if half > 0.0:  # a half that rounds to 0 never wins
+        p = _polygon_perimeter(geometry, n, half)
+        if p + p < single_p - configurations.TIE_TOL:
+            return Configuration(geometry, n, (half, half))
+    return None
+
+
+def _reference_assessment(single, config_p, **extra):
+    single_p = perimeter(single)
+    verdict = configurations._verdict(config_p, single_p)
+    return SplitAssessment(single_p, config_p, verdict, single.angle, **extra)
+
+
+def _reference_merge_chain(config):
+    geometry, n = config.geometry, config.n
+    single = RegularPolygon(geometry, n, total_area(config))
+    perims = [_polygon_perimeter(geometry, n, a) for a in config.areas]
+    config_p = functools.reduce(operator.add, perims)
+    steps, prefix_area, prefix_p = [], config.areas[0], perims[0]
+    for area, piece_p in zip(config.areas[1:], perims[1:]):
+        merged_area = prefix_area + area
+        merged_p = _polygon_perimeter(geometry, n, merged_area)
+        steps.append(MergeStep(prefix_p + piece_p, merged_area, merged_p))
+        prefix_area, prefix_p = merged_area, merged_p
+    witness = _reference_witness(geometry, n, single.area, perimeter(single))
+    return _reference_assessment(
+        single, config_p, critical_angle=critical_angle(n).critical_angle,
+        witness=witness, merge_steps=tuple(steps),
+    )
+
+
+def _reference_assess_configuration(config):
+    if config.geometry is HYP:
+        return _reference_merge_chain(config)
+    single = RegularPolygon(config.geometry, config.n, total_area(config))
+    config_p = functools.reduce(
+        operator.add, (_polygon_perimeter(config.geometry, config.n, a) for a in config.areas)
+    )
+    return _reference_assessment(single, config_p)
+
+
+def _reference_two_split(geometry, n, total):
+    single = RegularPolygon(geometry, n, total)
+    if geometry is not HYP:
+        return _reference_assessment(single, 2.0 * _polygon_perimeter(geometry, n, total / 2.0))
+    params = SplitFunctionParams(n, single.angle + (n - 2) * math.pi / n)
+    config_p = 2.0 * n * split_objective(params, params.c / 2.0)
+    witness = _reference_witness(geometry, n, total, perimeter(single))
+    return _reference_assessment(
+        single, config_p, critical_angle=critical_angle(n).critical_angle, witness=witness
+    )
+
+
+def _bits(value):
+    """Every float of a (nested) result as float.hex, every dataclass as its fields."""
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return (type(value).__name__,) + tuple(
+            (f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value)
+        )
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", _bits(fn(*args))
+    except DomainError as exc:
+        return "DomainError", str(exc)
+
+
+_SIDE_COUNTS = st.one_of(st.sampled_from([3, 4, 5, 6, 8, 12]), st.integers(3, 10**6))
+# log10 of a fraction of the area bound: from tiny areas up to just below the top
+_LOG_FRACTIONS = st.floats(-14.0, -1e-9)
+
+
+def _area_top(geometry, n):
+    return 1e4 if geometry is EUC else area_bounds(geometry, n)[1]
+
+
+@given(
+    geometry=st.sampled_from([EUC, SPH, HYP]),
+    n=_SIDE_COUNTS,
+    log_fraction=_LOG_FRACTIONS,
+    weights=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6),
+    overshoot=st.booleans(),
+)
+@settings(deadline=None, max_examples=300)
+def test_configuration_decisions_keep_the_reference_bits(
+    geometry, n, log_fraction, weights, overshoot
+):
+    top = _area_top(geometry, n)
+    total = top * 10.0**log_fraction
+    parts = tuple(total * w / sum(weights) for w in weights)
+    if overshoot and geometry is not EUC:
+        parts = (0.75 * top,) * (len(weights) + 1)  # every part admitted, the sum past the top
+    config = Configuration(geometry, n, parts)
+    assert _bits(total_perimeter(config)) == _bits(
+        functools.reduce(operator.add, (_polygon_perimeter(geometry, n, a) for a in parts))
+    )
+    assert _outcome(assess_configuration, config) == _outcome(
+        _reference_assess_configuration, config
+    )
+    if geometry is HYP:
+        assert _outcome(merge_chain, config) == _outcome(_reference_merge_chain, config)
+
+
+@given(geometry=st.sampled_from([EUC, SPH, HYP]), n=_SIDE_COUNTS, log_fraction=_LOG_FRACTIONS)
+@settings(deadline=None, max_examples=300)
+def test_two_split_keeps_the_reference_bits(geometry, n, log_fraction):
+    total = _area_top(geometry, n) * 10.0**log_fraction
+    assert _outcome(assess_two_split, geometry, n, total) == _outcome(
+        _reference_two_split, geometry, n, total
+    )
+
+
+@given(epsilon=st.floats(1e-12, math.pi / 6.0, exclude_max=True))
+@settings(deadline=None, max_examples=100)
+def test_counterexample_keeps_the_reference_bits(epsilon):
+    res = counterexample_triangles(epsilon)
+    areas = (math.pi / 2.0, math.pi / 2.0 - 3.0 * epsilon)
+    split_p = _polygon_perimeter(HYP, 3, areas[0]) + _polygon_perimeter(HYP, 3, areas[1])
+    single_p = _polygon_perimeter(HYP, 3, math.pi - 3.0 * epsilon)
+    assert _bits(res) == _bits(
+        configurations.CounterexampleResult(
+            Configuration(HYP, 3, areas),
+            RegularPolygon(HYP, 3, math.pi - 3.0 * epsilon),
+            split_p,
+            single_p,
+            single_p - split_p,
+        )
+    )
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_merge_chain_evaluates_each_distinct_perimeter_once(monkeypatch, k):
+    # k parts, k - 1 merged prefixes (the last is the single polygon) and the
+    # equal split's half: 2k side-kernel calls
+    calls = []
+    side = geometry_module._side
+
+    def counting_side(*args):
+        calls.append(args)
+        return side(*args)
+
+    for module in (configurations, geometry_module):
+        monkeypatch.setattr(module, "_side", counting_side)
+    merge_chain(Configuration(HYP, 5, tuple(0.3 + 0.1 * i for i in range(k))))
+    assert len(calls) == 2 * k
+
+
+# ------------------------------------------------- totals whose half underflows
+
+
+@pytest.mark.parametrize("geometry", [EUC, SPH])
+@pytest.mark.parametrize("n", [3, 1000])
+def test_two_split_rejects_a_total_whose_half_underflows(geometry, n):
+    # 5e-324 / 2 rounds to 0: the error names the total, not an area of 0
+    message = f"total area 5e-324 is too small to split for {geometry.kind} n={n}"
+    with pytest.raises(DomainError, match=message):
+        assess_two_split(geometry, n, 5e-324)
+
+
+@pytest.mark.parametrize("n", [3, 4, 1000])
+def test_merge_chain_half_underflow_has_no_witness(n):
+    res = merge_chain(Configuration(HYP, n, (5e-324,)))
+    assert res.witness is None
+    assert res.verdict is Verdict.TIE
+    assert res.config_perimeter == res.single_perimeter
