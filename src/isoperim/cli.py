@@ -1,7 +1,7 @@
 """Command line interface with machine-readable JSON and CSV output.
 
 Single-result commands print one JSON object per invocation; the scanning
-commands stream CSV for external plotting. All numbers are emitted with
+commands print CSV for external plotting. All numbers are emitted with
 full round-trip precision and all angles are radians (a --degrees flag
 converts angular inputs on the way in). Exit codes: 0 success, 2 usage or
 domain errors, 3 numerical non-convergence.
@@ -14,20 +14,20 @@ import json
 import math
 import os
 import sys
-from collections.abc import Sequence
-from functools import reduce
+from collections.abc import Iterable, Sequence
+from functools import partial, reduce
 from operator import add
 
 from .analysis import (
-    AnalysisDomain,
     SplitFunctionParams,
+    _half_side,
+    _margin_terms,
     equal_split_margin,
     half_side,
     split_objective,
 )
 from .configurations import (
     Configuration,
-    _part_perimeters,
     assess_configuration,
     assess_two_split,
     counterexample_triangles,
@@ -37,6 +37,7 @@ from .geometry import (
     MAX_SIDES,
     Geometry,
     RegularPolygon,
+    _check_sides,
     area_from_angle,
     side_length,
 )
@@ -123,10 +124,10 @@ def _emit_error(command: str, exc: Exception) -> None:
     print(json.dumps(record, separators=(",", ":")), file=sys.stderr)
 
 
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    lines = [",".join(header)]
-    lines += (",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
-    sys.stdout.write("\n".join(lines) + "\n")
+def _emit_csv(header: Sequence[str], rows: Iterable[tuple]) -> None:
+    # rows hold floats and ints only, and repr(int) is str(int)
+    row = ",".join(["%r"] * len(header)) + "\n"
+    sys.stdout.write(",".join(header) + "\n" + "".join(map(row.__mod__, rows)))
 
 
 def _geometry(name: str) -> Geometry:
@@ -177,24 +178,20 @@ def _cmd_theta(args: argparse.Namespace) -> int:
             )
         rows = [_theta_row(n) for n in range(lo, hi + 1)]
         if args.format == "json":
-            _emit_record(
-                "theta",
-                {"range": [lo, hi]},
-                {"rows": [list(r) for r in rows]},
-            )
-        else:
-            _emit_csv(("n", "theta", "x0", "max_area"), rows)
+            _emit_record("theta", {"range": [lo, hi]}, {"rows": [list(r) for r in rows]})
+            return 0
+    elif args.format != "csv":  # one side count defaults to JSON, a range to CSV
+        res = critical_angle(args.n)
+        _emit_record(
+            "theta",
+            {"n": args.n},
+            {"theta": res.critical_angle, "x0": res.inflection, "max_area": res.max_area},
+            {"iterations": res.iterations, "residual": res.residual},
+        )
         return 0
-    res = critical_angle(args.n)
-    if args.format == "csv":
-        _emit_csv(("n", "theta", "x0", "max_area"), [_theta_row(args.n)])
-        return 0
-    _emit_record(
-        "theta",
-        {"n": args.n},
-        {"theta": res.critical_angle, "x0": res.inflection, "max_area": res.max_area},
-        {"iterations": res.iterations, "residual": res.residual},
-    )
+    else:
+        rows = [_theta_row(args.n)]
+    _emit_csv(("n", "theta", "x0", "max_area"), rows)
     return 0
 
 
@@ -211,8 +208,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
                 f"areas sum to {parts_sum}, expected {args.total_area} within 1e-9"
             )
         inputs["areas"] = list(areas)
-        config = Configuration(geometry, args.n, areas)
-        assessment = assess_configuration(config)
+        assessment = assess_configuration(Configuration(geometry, args.n, areas))
 
     results: dict = {
         "verdict": assessment.verdict.value,
@@ -220,7 +216,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
         "config_perimeter": assessment.config_perimeter,
     }
     if args.areas is not None:
-        results["part_perimeters"] = _part_perimeters(config)
+        results["part_perimeters"] = list(assessment.part_perimeters)
     if assessment.witness is not None:
         results["witness_areas"] = list(assessment.witness.areas)
     _emit_record("split", inputs, results)
@@ -246,20 +242,29 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         n = int(args.h[0])
         c = _maybe_radians(float(args.h[1]), args.degrees)
         params = SplitFunctionParams(n, c)
-        xs = _scan_grid(params.lo, params.hi)
-        values = [split_objective(params, x) for x in xs]
+        lo, hi, check = params.lo, params.hi, partial(split_objective, params)
         inputs: dict = {"mode": "h", "n": n, "c": c}
     else:
         n = getattr(args, mode)
-        xs = _scan_grid(0.0, AnalysisDomain(n).hi)
-        fn = equal_split_margin if mode == "phi" else half_side
-        values = [fn(n, x) for x in xs]
+        _check_sides(n)
+        lo, hi = 0.0, (n - 2) * math.pi / n
+        check = partial(equal_split_margin if mode == "phi" else half_side, n)
         inputs = {"mode": mode, "n": n}
+    xs = _scan_grid(lo, hi)
+    # x, c - x and the margin's inner angle are monotone in x: the ends check every point
+    for x in (min(xs), max(xs)):
+        check(x)
+    if mode == "h":
+        values = [_half_side(n, x) + _half_side(n, c - x) for x in xs]
+    elif mode == "phi":
+        values = [_margin_terms(n, x, False)[0] for x in xs]
+    else:
+        values = [_half_side(n, x) for x in xs]
 
     if args.format == "json":
         _emit_record("scan", inputs, {"x": xs, "value": values})
     else:
-        _emit_csv(("x", "value"), list(zip(xs, values)))
+        _emit_csv(("x", "value"), zip(xs, values))
     return 0
 
 
@@ -280,7 +285,8 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Parser with every command registered; given a command name, only its arguments."""
     parser = argparse.ArgumentParser(
         prog="isoperim",
         description="Perimeter-minimal configurations of regular n-gons in the "
@@ -289,38 +295,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("perim", help="area, angle, side and perimeter of one polygon")
-    p.add_argument("geometry", help="euclidean, spherical or hyperbolic")
-    p.add_argument("n", type=int, help="side count")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--area", type=float, help="polygon area")
-    group.add_argument("--angle", type=float, help="interior angle (curved planes only)")
-    p.add_argument("--degrees", action="store_true", help="angular inputs are degrees")
+    if command in (None, "perim"):
+        p.add_argument("geometry", help="euclidean, spherical or hyperbolic")
+        p.add_argument("n", type=int, help="side count")
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--area", type=float, help="polygon area")
+        group.add_argument("--angle", type=float, help="interior angle (curved planes only)")
+        p.add_argument("--degrees", action="store_true", help="angular inputs are degrees")
 
     t = sub.add_parser("theta", help="critical angle, inflection point and area bound")
-    t.add_argument("n", type=int, nargs="?", help="side count")
-    t.add_argument("--range", type=int, nargs=2, metavar=("LO", "HI"),
-                   help="emit CSV rows for every side count in [LO, HI]")
-    t.add_argument("--format", choices=("json", "csv"), default=None)
+    if command in (None, "theta"):
+        t.add_argument("n", type=int, nargs="?", help="side count")
+        t.add_argument("--range", type=int, nargs=2, metavar=("LO", "HI"),
+                       help="emit CSV rows for every side count in [LO, HI]")
+        t.add_argument("--format", choices=("json", "csv"), default=None)
 
     s = sub.add_parser("split", help="compare a split of an area against one polygon")
-    s.add_argument("geometry", help="euclidean, spherical or hyperbolic")
-    s.add_argument("n", type=int, help="side count")
-    s.add_argument("--total-area", type=float, required=True, dest="total_area")
-    s.add_argument("--areas", type=str, default=None,
-                   help="comma-separated part areas; must sum to the total")
+    if command in (None, "split"):
+        s.add_argument("geometry", help="euclidean, spherical or hyperbolic")
+        s.add_argument("n", type=int, help="side count")
+        s.add_argument("--total-area", type=float, required=True, dest="total_area")
+        s.add_argument("--areas", type=str, default=None,
+                       help="comma-separated part areas; must sum to the total")
 
     c = sub.add_parser("scan", help="sample an analysis function on a uniform grid")
-    c.add_argument("--phi", type=int, metavar="N", help="equal-split margin for side count N")
-    c.add_argument("--g", type=int, metavar="N", help="half-side kernel for side count N")
-    c.add_argument("--h", nargs=2, metavar=("N", "C"),
-                   help="two-split objective for side count N and angle sum C")
-    c.add_argument("--format", choices=("json", "csv"), default="csv")
-    c.add_argument("--degrees", action="store_true", help="angular inputs are degrees")
+    if command in (None, "scan"):
+        c.add_argument("--phi", type=int, metavar="N", help="equal-split margin for side count N")
+        c.add_argument("--g", type=int, metavar="N", help="half-side kernel for side count N")
+        c.add_argument("--h", nargs=2, metavar=("N", "C"),
+                       help="two-split objective for side count N and angle sum C")
+        c.add_argument("--format", choices=("json", "csv"), default="csv")
+        c.add_argument("--degrees", action="store_true", help="angular inputs are degrees")
 
     x = sub.add_parser("counterexample", help="two hyperbolic triangles against one")
-    x.add_argument("--epsilon", type=float, required=True,
-                   help="interior angle of the single thin triangle")
-    x.add_argument("--degrees", action="store_true", help="angular inputs are degrees")
+    if command in (None, "counterexample"):
+        x.add_argument("--epsilon", type=float, required=True,
+                       help="interior angle of the single thin triangle")
+        x.add_argument("--degrees", action="store_true", help="angular inputs are degrees")
 
     return parser
 
@@ -335,13 +346,12 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "theta" and args.format is None:
-        args.format = "csv" if args.range is not None else "json"
     try:
         return _HANDLERS[args.command](args)
     except BrokenPipeError:

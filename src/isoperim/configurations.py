@@ -96,7 +96,7 @@ class SplitAssessment:
     tolerance TIE_TOL. `witness` carries a configuration that strictly beats
     the single polygon whenever one is known (the equal two-way split, in
     the hyperbolic sub-threshold regime). `critical_angle` is None for the
-    geometries without a threshold.
+    geometries without a threshold; `part_perimeters` is empty for a two-split.
     """
 
     single_perimeter: float
@@ -106,6 +106,7 @@ class SplitAssessment:
     critical_angle: float | None = None
     witness: Configuration | None = None
     merge_steps: tuple[MergeStep, ...] = field(default=())
+    part_perimeters: tuple[float, ...] = ()
 
 
 def _verdict(config_perimeter: float, single_perimeter: float) -> Verdict:
@@ -204,10 +205,10 @@ def merge_chain(config: Configuration) -> SplitAssessment:
     validate_area(geometry, n, total)  # the merged areas rise to it: this checks them all
     parts = _part_perimeters(config)
     merged = parts[:1] + [n * _side(geometry, n, a) for a in merged_areas[1:]]
-    steps = tuple(
+    steps = tuple([
         MergeStep(pair_perimeter=p + q, merged_area=a, merged_perimeter=m)
         for p, q, a, m in zip(merged, parts[1:], merged_areas[1:], merged[1:])
-    )
+    ])
     single_p, config_p = merged[-1], reduce(add, parts)
 
     threshold = critical_angle(n)
@@ -219,6 +220,7 @@ def merge_chain(config: Configuration) -> SplitAssessment:
         critical_angle=threshold.critical_angle,
         witness=_equal_split_witness(geometry, n, total, single_p),
         merge_steps=steps,
+        part_perimeters=tuple(parts),
     )
 
 
@@ -234,12 +236,14 @@ def assess_configuration(config: Configuration) -> SplitAssessment:
     total = total_area(config)
     validate_area(config.geometry, config.n, total)
     single_p = config.n * _side(config.geometry, config.n, total)
-    config_p = total_perimeter(config)
+    parts = _part_perimeters(config)
+    config_p = reduce(add, parts)
     return SplitAssessment(
         single_perimeter=single_p,
         config_perimeter=config_p,
         verdict=_verdict(config_p, single_p),
         angle=_angle(config.geometry, config.n, total),
+        part_perimeters=tuple(parts),
     )
 
 

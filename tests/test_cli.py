@@ -9,8 +9,19 @@ import jsonschema
 import mpmath as mp
 import pytest
 
-from isoperim import critical_angle, inflection_point
-from isoperim.cli import ERROR_SCHEMA, OUTPUT_SCHEMA, main
+from isoperim import (
+    Geometry,
+    RegularPolygon,
+    SplitFunctionParams,
+    critical_angle,
+    equal_split_margin,
+    half_side,
+    inflection_point,
+    perimeter,
+    split_objective,
+)
+from isoperim import cli, configurations
+from isoperim.cli import ERROR_SCHEMA, OUTPUT_SCHEMA, build_parser, main
 
 from conftest import CE_MARGIN, THETA_3, X0_3, sign_changes
 
@@ -164,6 +175,23 @@ def test_theta_single_csv_format(capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, ns",
+    [(("theta", "--range", "3", "40"), range(3, 41)), (("theta", "5", "--format", "csv"), [5])],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
+)
+def test_theta_csv_bytes(capsys, argv, ns):
+    # the rows as the CSV emitter wrote them before it took one format per row
+    rows = []
+    for n in ns:
+        res = critical_angle(n)
+        row = (n, res.critical_angle, res.inflection, res.max_area)
+        rows.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == "\n".join(["n,theta,x0,max_area"] + rows) + "\n"
+
+
 def test_theta_range_json_format(capsys):
     code, out, _ = run_cli(capsys, "theta", "--range", "3", "5", "--format", "json")
     assert code == 0
@@ -264,6 +292,34 @@ def test_split_hyperbolic_multi_part(capsys):
     assert len(record["results"]["part_perimeters"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (("split", "hyperbolic", "3", "--total-area", "1.2", "--areas", "0.3,0.4,0.5"), 6),
+        (("split", "euclidean", "4", "--total-area", "25", "--areas", "9,16"), 3),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+)
+def test_split_areas_evaluates_each_perimeter_once(capsys, monkeypatch, argv, calls):
+    # hyperbolic: 3 parts, 2 merged prefixes and the equal split's half;
+    # flat: 2 parts and the single polygon. The parts' perimeters printed
+    # are the ones the assessment computed.
+    seen = []
+    side = configurations._side
+
+    def counting_side(*args):
+        seen.append(args)
+        return side(*args)
+
+    monkeypatch.setattr(configurations, "_side", counting_side)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(seen) == calls
+    geometry, n, areas = Geometry(argv[1]), int(argv[2]), argv[-1].split(",")
+    parts = [perimeter(RegularPolygon(geometry, n, float(a))) for a in areas]
+    assert record_of(out)["results"]["part_perimeters"] == parts
+
+
 @pytest.mark.parametrize("geometry", ["euclidean", "spherical", "hyperbolic"])
 def test_split_single_polygon_holds_the_parts_sum(capsys, geometry):
     # the part sum may miss --total-area by up to 1e-9; the single polygon
@@ -359,6 +415,81 @@ def test_scan_rejects_side_count(capsys, argv):
     assert error["error"]["message"].startswith("side count must be")
 
 
+def _scan_points(capsys, *argv):
+    """(x, value) pairs of a scan, read from its CSV and from its JSON output."""
+    code, out, err = run_cli(capsys, "scan", *argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "x,value" and out.endswith("\n")
+    from_csv = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+    code, out, _ = run_cli(capsys, "scan", *argv, "--format", "json")
+    assert code == 0
+    results = record_of(out)["results"]
+    from_json = list(zip(results["x"], results["value"]))
+    assert [(x.hex(), v.hex()) for x, v in from_csv] == [(x.hex(), v.hex()) for x, v in from_json]
+    assert len(from_csv) == 1000
+    return from_csv
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12, 1000, 10**6])
+@pytest.mark.parametrize("mode, fn", [("--phi", equal_split_margin), ("--g", half_side)])
+def test_scan_values_are_the_checked_functions(capsys, n, mode, fn):
+    for x, value in _scan_points(capsys, mode, str(n)):
+        assert value.hex() == fn(n, x).hex()
+
+
+@pytest.mark.parametrize("n", [3, 7, 1000])
+@pytest.mark.parametrize("where", ["next_to_flat", "middle", "next_to_twice_flat"])
+@pytest.mark.parametrize("degrees", [False, True])
+def test_scan_h_values_are_the_split_objective(capsys, n, where, degrees):
+    flat = (n - 2) * math.pi / n
+    c = {"next_to_flat": flat + 1e-5, "middle": 1.5 * flat, "next_to_twice_flat": 2 * flat - 1e-5}[where]
+    arg = repr(math.degrees(c)) if degrees else repr(c)
+    params = SplitFunctionParams(n, math.radians(float(arg)) if degrees else c)
+    points = _scan_points(capsys, "--h", str(n), arg, *(["--degrees"] if degrees else []))
+    for x, value in points:
+        assert value.hex() == split_objective(params, x).hex()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--phi", "2"), "side count must be >= 3, got 2"),
+        (("--g", "1000001"), "side count must be <= 1000000, got 1000001"),
+        (("--h", "3", "2.5"),
+         "angle sum must lie in (1.0471975511965976, 2.0943951023931953), got 2.5"),
+        (("--h", "3", "1.0471975511965976"),
+         "angle sum must lie in (1.0471975511965976, 2.0943951023931953), got 1.0471975511965976"),
+        (("--h", "3", "2.0943941"),
+         "scan domain (1.0471965488034025, 1.0471975511965976) is narrower than the standoff"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
+)
+def test_scan_error_texts(capsys, argv, message):
+    code, out, err = run_cli(capsys, "scan", *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"type": "DomainError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--phi", "3"), "angle must lie in the open interval (0.0, 1.0471975511965976), got 0.0"),
+        (("--g", "3"), "angle must lie in the open interval (0.0, 1.0471975511965976), got 0.0"),
+        (("--h", "3", "1.5"), "split angle must lie in the open interval "
+         "(0.45280244880340237, 1.0471975511965976), got 0.45280244880340237"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
+)
+def test_scan_checks_its_grid(capsys, monkeypatch, argv, message):
+    # with no standoff the grid starts on the domain's closed end, which the
+    # checked functions reject
+    monkeypatch.setattr(cli, "SCAN_STANDOFF", 0.0)
+    code, out, err = run_cli(capsys, "scan", *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"type": "DomainError", "message": message}
+
+
 # --------------------------------------------------------- counterexample
 
 
@@ -389,6 +520,58 @@ def test_counterexample_epsilon_lost_to_rounding(capsys):
     jsonschema.validate(error, ERROR_SCHEMA)
     assert error["error"]["type"] == "DomainError"
     assert error["error"]["message"].startswith("epsilon 1e-300 is too small")
+
+
+# ----------------------------------------------------------------- parser
+
+_VALID = {
+    "perim": ("hyperbolic", "3", "--area", "1"),
+    "theta": ("3",),
+    "split": ("hyperbolic", "3", "--total-area", "1"),
+    "scan": ("--phi", "3"),
+    "counterexample": ("--epsilon", "0.1"),
+}
+_MISSING = {
+    "perim": ("hyperbolic",),
+    "theta": ("--range", "3"),
+    "split": ("hyperbolic", "3"),
+    "scan": ("--h", "3"),
+    "counterexample": (),
+}
+_BAD_NUMBER = {
+    "perim": ("hyperbolic", "x", "--area", "1"),
+    "theta": ("x",),
+    "split": ("hyperbolic", "3", "--total-area", "x"),
+    "scan": ("--g", "x"),
+    "counterexample": ("--epsilon", "x"),
+}
+PARITY_ARGVS = (
+    [[], ["-h"], ["bogus"], ["per"], ["--"], ["--", "theta", "3"], ["-h", "scan"]]
+    + [[command, "-h"] for command in _VALID]
+    + [[command, *args] for command, args in _MISSING.items()]
+    + [[command, *args] for command, args in _BAD_NUMBER.items()]
+    + [[command, *args, "--format", "xml"] for command, args in _VALID.items()]
+    + [[command, *args, "--bogus"] for command, args in _VALID.items()]
+    + [["perim", "hyperbolic", "3", "--area", "1", "--angle", "1"]]
+)
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=" ".join)
+def test_parser_for_one_command_reads_like_the_full_parser(capsys, monkeypatch, argv):
+    # help, usage errors and results match a parser built with every argument
+    monkeypatch.setenv("COLUMNS", "80")
+    outcome = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    assert run_cli(capsys, *argv) == outcome
+
+
+def test_parser_for_one_command_has_only_its_arguments(capsys):
+    parser = build_parser("perim")
+    assert parser.parse_args(["perim", "hyperbolic", "3", "--area", "1"]).area == 1.0
+    with pytest.raises(SystemExit):
+        parser.parse_args(["theta", "3"])
+    assert "unrecognized arguments: 3" in capsys.readouterr().err
+    assert build_parser().parse_args(["theta", "3"]).n == 3
 
 
 # ----------------------------------------------------------- determinism

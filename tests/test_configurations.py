@@ -628,7 +628,7 @@ def _reference_merge_chain(config):
     witness = _reference_witness(geometry, n, single.area, perimeter(single))
     return _reference_assessment(
         single, config_p, critical_angle=critical_angle(n).critical_angle,
-        witness=witness, merge_steps=tuple(steps),
+        witness=witness, merge_steps=tuple(steps), part_perimeters=tuple(perims),
     )
 
 
@@ -636,10 +636,9 @@ def _reference_assess_configuration(config):
     if config.geometry is HYP:
         return _reference_merge_chain(config)
     single = RegularPolygon(config.geometry, config.n, total_area(config))
-    config_p = functools.reduce(
-        operator.add, (_polygon_perimeter(config.geometry, config.n, a) for a in config.areas)
-    )
-    return _reference_assessment(single, config_p)
+    perims = [_polygon_perimeter(config.geometry, config.n, a) for a in config.areas]
+    config_p = functools.reduce(operator.add, perims)
+    return _reference_assessment(single, config_p, part_perimeters=tuple(perims))
 
 
 def _reference_two_split(geometry, n, total):
