@@ -16,42 +16,18 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .geometry import _check_sides, _clamped_acos
+from .geometry import _check_sides, _half_side
 
 _SQRT2 = math.sqrt(2.0)
 _FLOOR_EPS = 4.0 * sys.float_info.epsilon
 
 
 def _require_angle(n: int, x: float) -> None:
-    """Raise DomainError unless x lies in AnalysisDomain(n), without building one."""
+    """Raise DomainError unless x lies in (0, (n-2)*pi/n), the hyperbolic angles."""
     _check_sides(n)
     hi = (n - 2) * math.pi / n
     if not 0.0 < x < hi:
         raise DomainError(f"angle must lie in the open interval (0.0, {hi}), got {x}")
-
-
-@dataclass(frozen=True)
-class AnalysisDomain:
-    """Open interval (0, (n-2)*pi/n) of hyperbolic interior angles."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_sides(self.n)
-
-    @property
-    def lo(self) -> float:
-        return 0.0
-
-    @property
-    def hi(self) -> float:
-        return (self.n - 2) * math.pi / self.n
-
-    def contains(self, x: float) -> bool:
-        return self.lo < x < self.hi
-
-    def require(self, x: float) -> None:
-        _require_angle(self.n, x)
 
 
 @dataclass(frozen=True)
@@ -91,24 +67,12 @@ class SplitFunctionParams:
 def half_side(n: int, x: float) -> float:
     """Hyperbolic half side length arccosh(cos(pi/n)/sin(x/2)) at interior angle x.
 
-    With h = pi/2 - x/2 and a = pi/n, delta = cos(a)/sin(x/2) - 1 is formed
-    as the product 2*sin((h+a)/2)*sin((h-a)/2)/sin(x/2), which keeps its
-    relative accuracy as x approaches the flat angle (h -> a), and the
-    result is arccosh(1 + delta) = log1p(delta + sqrt(delta*(delta+2))).
+    The kernel is geometry._half_side: it forms cos(pi/n)/sin(x/2) - 1 as a
+    product of sines, which keeps its relative accuracy as x approaches the
+    flat angle, and takes arccosh(1 + delta) as log1p(delta + sqrt(delta*(delta+2))).
     """
     _require_angle(n, x)
     return _half_side(n, x)
-
-
-def _half_side(n: int, x: float) -> float:
-    """half_side without the domain check."""
-    a = math.pi / n
-    h = 0.5 * (math.pi - x)
-    delta = 2.0 * math.sin(0.5 * (h + a)) * math.sin(0.5 * (h - a)) / math.sin(0.5 * x)
-    if delta < 0.0:
-        # only within roundoff of the flat angle, where h - a rounds below 0
-        delta = 0.0
-    return math.log1p(delta + math.sqrt(delta * (delta + 2.0)))
 
 
 def _denominator(n: int, x: float) -> float:
@@ -174,9 +138,13 @@ def _require_spherical_angle(n: int, x: float) -> None:
 
 
 def spherical_half_side(n: int, x: float) -> float:
-    """Spherical half side arccos(cos(pi/n)/sin(x/2)); the degenerate angle is allowed."""
+    """Spherical half side arccos(cos(pi/n)/sin(x/2)); the degenerate angle is allowed.
+
+    Its error grows like ulp(x)/(x - flat) next to the flat angle, where the
+    rounding of the flat angle itself dominates.
+    """
     _require_spherical_angle(n, x)
-    return _clamped_acos(math.cos(math.pi / n) / math.sin(x / 2.0))
+    return _half_side(n, x, 0.5 * (x - (n - 2) * math.pi / n), 1)
 
 
 def spherical_half_side_d2(n: int, x: float) -> float:

@@ -20,7 +20,6 @@ from operator import add
 
 from .analysis import (
     SplitFunctionParams,
-    _half_side,
     _margin_terms,
     equal_split_margin,
     half_side,
@@ -38,6 +37,7 @@ from .geometry import (
     Geometry,
     RegularPolygon,
     _check_sides,
+    _half_side,
     area_from_angle,
     side_length,
 )

@@ -15,8 +15,9 @@ from enum import Enum
 from functools import reduce
 from itertools import accumulate
 from operator import add
+from types import SimpleNamespace
 
-from .analysis import SplitFunctionParams, _half_side, split_objective
+from .analysis import SplitFunctionParams, split_objective
 from .errors import ConvergenceError, DomainError, ResourceError
 from .geometry import Geometry, RegularPolygon, _angle, _side, area_bounds, validate_area
 from .threshold import critical_angle
@@ -58,9 +59,6 @@ class Configuration:
     @property
     def k(self) -> int:
         return len(self.areas)
-
-    def polygons(self) -> tuple[RegularPolygon, ...]:
-        return tuple(RegularPolygon(self.geometry, self.n, a) for a in self.areas)
 
 
 # reduce, not sum: from Python 3.12 on, sum() of floats is compensated
@@ -127,11 +125,9 @@ def euclidean_pythagoras_check(a1: float, a2: float, n: int) -> tuple[float, flo
 
 
 def _equal_split_witness(
-    geometry: Geometry, n: int, total: float, single_perimeter: float
+    geometry: Geometry, n: int, half: float, p: float, single_perimeter: float
 ) -> Configuration | None:
-    # the half goes unchecked: one that rounds to 0 has perimeter 0 and never wins
-    half = total / 2.0
-    p = n * _side(geometry, n, half)
+    # the half goes unchecked: one that rounds to 0 has perimeter p = 0 and never wins
     if p + p < single_perimeter - TIE_TOL:
         return Configuration(geometry, n, (half, half))
     return None
@@ -145,47 +141,37 @@ def assess_two_split(
 ) -> SplitAssessment:
     """Compare a two-way split of `total` area against the single polygon.
 
-    For the hyperbolic plane the split is parametrized by the first piece's
-    interior angle theta1, defaulting to the balanced value c/2, which is
-    the only interior candidate for a minimum of the split objective. Flat
-    and spherical splits always lose; they are assessed at equal areas and
-    theta1 is rejected there.
+    The default split is the equal one, whose halves have perimeter
+    n*side(total/2) each; in the hyperbolic plane it is the only interior
+    candidate for a minimum of the split objective. A hyperbolic split may
+    instead be parametrized by the first piece's interior angle theta1.
+    Flat and spherical splits always lose; theta1 is rejected there.
     """
     validate_area(geometry, n, total)
+    hyperbolic = geometry is Geometry.HYPERBOLIC
+    if theta1 is not None and not hyperbolic:
+        raise DomainError("theta1 applies only to hyperbolic splits")
     single_p = n * _side(geometry, n, total)
     angle = _angle(geometry, n, total)
-
-    if geometry is not Geometry.HYPERBOLIC:
-        if theta1 is not None:
-            raise DomainError("theta1 applies only to hyperbolic splits")
-        half = total / 2.0
-        if not half > 0.0:
-            raise DomainError(f"total area {total} is too small to split for {geometry.kind} n={n}")
-        config_p = 2.0 * (n * _side(geometry, n, half))
-        return SplitAssessment(
-            single_perimeter=single_p,
-            config_perimeter=config_p,
-            verdict=_verdict(config_p, single_p),
-            angle=angle,
-        )
-
     flat = (n - 2) * math.pi / n
-    if not angle + flat < 2.0 * flat:
-        raise DomainError(f"total area {total} is too small to split for hyperbolic n={n}")
-    params = SplitFunctionParams(n, angle + flat)
-    if theta1 is None:  # c - c/2 is c/2 exactly, inside the checked split domain
-        k = _half_side(n, params.c / 2.0)
-        config_p = 2.0 * n * (k + k)
-    else:
-        config_p = 2.0 * n * split_objective(params, theta1)
-    threshold = critical_angle(n)
+    half = total / 2.0
+    # a hyperbolic angle sum that rounds onto 2*flat leaves no split angle
+    if not (angle + flat < 2.0 * flat if hyperbolic else half > 0.0):
+        raise DomainError(f"total area {total} is too small to split for {geometry.kind} n={n}")
+    p = n * _side(geometry, n, half)
+    config_p, threshold, witness = p + p, None, None
+    if hyperbolic:
+        if theta1 is not None:
+            config_p = 2.0 * n * split_objective(SplitFunctionParams(n, angle + flat), theta1)
+        threshold = critical_angle(n).critical_angle
+        witness = _equal_split_witness(geometry, n, half, p, single_p)
     return SplitAssessment(
         single_perimeter=single_p,
         config_perimeter=config_p,
         verdict=_verdict(config_p, single_p),
         angle=angle,
-        critical_angle=threshold.critical_angle,
-        witness=_equal_split_witness(geometry, n, total, single_p),
+        critical_angle=threshold,
+        witness=witness,
     )
 
 
@@ -210,6 +196,7 @@ def merge_chain(config: Configuration) -> SplitAssessment:
         for p, q, a, m in zip(merged, parts[1:], merged_areas[1:], merged[1:])
     ])
     single_p, config_p = merged[-1], reduce(add, parts)
+    half = total / 2.0
 
     threshold = critical_angle(n)
     return SplitAssessment(
@@ -218,7 +205,7 @@ def merge_chain(config: Configuration) -> SplitAssessment:
         verdict=_verdict(config_p, single_p),
         angle=_angle(geometry, n, total),
         critical_angle=threshold.critical_angle,
-        witness=_equal_split_witness(geometry, n, total, single_p),
+        witness=_equal_split_witness(geometry, n, half, n * _side(geometry, n, half), single_p),
         merge_steps=steps,
         part_perimeters=tuple(parts),
     )
@@ -311,6 +298,24 @@ def _ranges(np, start, stop):
     return row, a
 
 
+def _elementwise(np) -> SimpleNamespace:
+    """The math namespace of geometry._side for 1-D numpy arrays.
+
+    sin, asin and log1p run math's function on each element, since numpy's
+    own log1p and arcsin differ from math's in the last bit on some inputs;
+    sqrt is numpy's, correctly rounded like math's. Every element so keeps
+    the bits of the float call.
+    """
+
+    def each(fn):
+        return lambda x: np.fromiter(map(fn, x.tolist()), float, x.size)
+
+    return SimpleNamespace(
+        sin=each(math.sin), asin=each(math.asin), log1p=each(math.log1p),
+        sqrt=np.sqrt, where=np.where,
+    )
+
+
 def brute_force_min(
     geometry: Geometry,
     n: int,
@@ -353,7 +358,8 @@ def brute_force_min(
     areas = np.arange(first, R + 1) * unit
     finite = first - 1 + int(np.count_nonzero((lo < areas) & (areas < hi)))
     perims = np.full(R + 1, np.inf)
-    perims[first : finite + 1] = n * _side(geometry, n, areas[: finite + 1 - first])
+    table = _side(geometry, n, areas[: finite + 1 - first], _elementwise(np))
+    perims[first : finite + 1] = n * table
     best_perimeter = float(perims[R])
     best_units: tuple[int, ...] | None = (R,) if best_perimeter < math.inf else None
     for k in range(2, k_max + 1):

@@ -18,9 +18,9 @@ from .errors import DomainError
 # limits for double precision to keep the closed forms well conditioned.
 MAX_SIDES = 10**6
 
-# Inverse-trig arguments are clamped onto their domain only when they miss
-# it by at most this much; anything larger signals a logic error upstream.
-CLAMP_TOL = 1e-12
+# Below this area a curved polygon's side is the flat one to within 1.3e-19
+# relative: the curvature term is at most 0.145*area (n = 3).
+_TINY_AREA = 2.0**-60
 
 
 class Geometry(Enum):
@@ -63,49 +63,6 @@ def validate_area(geometry: Geometry, n: int, area: float) -> None:
         raise DomainError(f"area must be > {lo}, got {area}")
     if not area < hi:
         raise DomainError(f"area must be < {hi} for {geometry.kind} n={n}, got {area}")
-
-
-def _each(fn, x):
-    """math's `fn` of a float, or of each element of a 1-D numpy array.
-
-    numpy's own transcendentals differ from math's in the last bit on some
-    inputs, so arrays go through math too and keep the bits of floats.
-    """
-    if not getattr(x, "ndim", 0):
-        return fn(x)
-    import numpy as np
-
-    return np.fromiter(map(fn, x.tolist()), float, x.size)
-
-
-def _clamped_acos(u):
-    if getattr(u, "ndim", 0):  # an array: its first element out of range raises
-        bad = (u > 1.0 + CLAMP_TOL) | (u < -1.0 - CLAMP_TOL)
-        if bad.any():
-            _clamped_acos(float(u[bad.argmax()]))
-        return _each(math.acos, u.clip(-1.0, 1.0))
-    if u > 1.0:
-        if u > 1.0 + CLAMP_TOL:
-            raise DomainError(f"arccos argument {u} exceeds 1 beyond roundoff")
-        u = 1.0
-    elif u < -1.0:
-        if u < -1.0 - CLAMP_TOL:
-            raise DomainError(f"arccos argument {u} below -1 beyond roundoff")
-        u = -1.0
-    return math.acos(u)
-
-
-def _clamped_acosh(u):
-    if getattr(u, "ndim", 0):  # an array: its first element out of range raises
-        bad = u < 1.0 - CLAMP_TOL
-        if bad.any():
-            _clamped_acosh(float(u[bad.argmax()]))
-        return _each(math.acosh, u.clip(1.0))
-    if u < 1.0:
-        if u < 1.0 - CLAMP_TOL:
-            raise DomainError(f"arccosh argument {u} below 1 beyond roundoff")
-        u = 1.0
-    return math.acosh(u)
 
 
 def angle_from_area(geometry: Geometry, n: int, area: float) -> float:
@@ -169,28 +126,76 @@ class RegularPolygon:
 def side_length(polygon: RegularPolygon) -> float:
     """Length of one side.
 
-    For the curved planes the half side satisfies
-    cos(s/2) resp. cosh(s/2) = cos(pi/n)/sin(angle/2); Euclidean polygons
-    use s = sqrt(4*tan(pi/n)/n)*sqrt(area), which stays finite for every
-    finite area (the product 4*tan(pi/n)*area overflows near the largest
-    double).
+    For the curved planes the half side s/2 satisfies cos(s/2) resp.
+    cosh(s/2) = cos(pi/n)/sin(angle/2) = 1 - D, with D formed from the area
+    as a product of sines (see _half_side), so that no digits cancel;
+    below an area of 2**-60 the flat side is exact to rounding. Euclidean
+    polygons use s = sqrt(4*tan(pi/n)/n)*sqrt(area), which stays finite for
+    every finite area (the product 4*tan(pi/n)*area overflows near the
+    largest double).
     """
     return _side(polygon.geometry, polygon.n, polygon.area)
 
 
-def _side(geometry: Geometry, n: int, area):
+def _half_side(n: int, x, d=None, curvature: int = -1, m=math):
+    """Half side of the regular n-gon with interior angle x in a curved plane.
+
+    With a = pi/n, h = (pi - x)/2 and d = a - h = (x - flat)/2, the ratio
+    cos(a)/sin(x/2) is 1 - D for D = 2*sin((h + a)/2)*sin(d/2)/sin(x/2), a
+    product that keeps its relative accuracy as x approaches the flat angle.
+    The hyperbolic half side (curvature -1) is arccosh(1 + delta) =
+    log1p(delta + sqrt(delta*(delta + 2))) with delta = -D; the spherical one
+    (curvature 1) is arccos(1 - D) = 2*asin(sqrt(D/2)).
+
+    A caller that knows the deficit passes d (K*area/(2n) for an area), so
+    the numerator is never taken from a rounded x; without d, x is a
+    hyperbolic angle. With a hyperbolic d (< 0), sin((h + a)/2) = sin(a - d/2)
+    is expanded as sin(a)*cos(d/2) - cos(a)*sin(d/2), a sum of two positive
+    terms, so that one sine serves both factors: an array then takes three
+    elementwise passes, not four. In the spherical plane (d >= 0) the
+    expansion would subtract, so it keeps the sine of a - d/2. `m`
+    supplies sin, asin, log1p and sqrt: math for floats, or a namespace that
+    maps them over a 1-D numpy array with math's bits (see brute_force_min).
+    No domain check.
+    """
+    a = math.pi / n
+    if d is None:
+        if x < 1e-150:  # sin(x/2) = x/2 and arccosh(r) = log(2r), where delta**2 overflows
+            return math.log(4.0 * math.cos(a)) - math.log(x)
+        h = 0.5 * (math.pi - x)
+        d = a - h
+        if d >= 0.0:  # only within roundoff of the flat angle: a half side of +0.0
+            d = -0.0
+        s = m.sin(0.5 * d)
+        mid = m.sin(0.5 * (h + a))
+    else:
+        s = m.sin(0.5 * d)
+        if curvature < 0:
+            mid = math.sin(a) * m.sqrt(1.0 - s * s) - math.cos(a) * s
+        else:
+            mid = m.sin(a - 0.5 * d)
+    D = 2.0 * mid * s / m.sin(0.5 * x)
+    if curvature > 0:
+        return 2.0 * m.asin(m.sqrt(0.5 * D))
+    delta = -D
+    return m.log1p(delta + m.sqrt(delta * (delta + 2.0)))
+
+
+def _side(geometry: Geometry, n: int, area, m=math):
     """side_length for an (n, area) the caller has already checked against area_bounds.
 
-    `area` is a float or a 1-D numpy array of areas. An array gives every
-    element the same bits as the float call: numpy does only the IEEE
-    arithmetic, and each transcendental step goes through math (`_each`).
+    `area` is a float, or a 1-D numpy array of areas when `m` maps math's
+    functions over arrays (see _half_side); every element then has the bits
+    of the float call.
     """
-    if geometry is Geometry.EUCLIDEAN:
-        return math.sqrt(4.0 * math.tan(math.pi / n) / n) * _each(math.sqrt, area)
-    ratio = math.cos(math.pi / n) / _each(math.sin, _angle(geometry, n, area) / 2.0)
-    if geometry is Geometry.SPHERICAL:
-        return 2.0 * _clamped_acos(ratio)
-    return 2.0 * _clamped_acosh(ratio)
+    k = geometry.curvature
+    if k == 0 or m is math and area < _TINY_AREA:
+        return math.sqrt(4.0 * math.tan(math.pi / n) / n) * m.sqrt(area)
+    side = 2.0 * _half_side(n, _angle(geometry, n, area), k * area / (2 * n), k, m)
+    if m is math:
+        return side
+    # an array: each element takes the branch of its float call
+    return m.where(area < _TINY_AREA, _side(Geometry.EUCLIDEAN, n, area, m), side)
 
 
 def perimeter(polygon: RegularPolygon) -> float:

@@ -54,7 +54,7 @@ def test_criterion_1_counterexample_reproduction():
         res = counterexample_triangles(0.1)
         elapsed = min(elapsed, time.perf_counter() - start)
 
-    t1 = perimeter(res.config.polygons()[0])
+    t1 = perimeter(RegularPolygon(HYP, 3, res.config.areas[0]))
     assert res.split_perimeter < res.single_perimeter
     assert abs(t1 - 3.0 * PAIR_SIDE) <= 1e-10
     assert res.split_perimeter <= 6.0 * PAIR_SIDE + 1e-9
@@ -227,7 +227,7 @@ def test_criterion_7_brute_force_oracle_agreement():
 def test_criterion_8_closed_form_values():
     start = time.perf_counter()
     res = counterexample_triangles(0.1)
-    t1 = perimeter(res.config.polygons()[0])
+    t1 = perimeter(RegularPolygon(HYP, 3, res.config.areas[0]))
     assert abs(t1 - 3.0 * PAIR_SIDE) <= 1e-9
     assert abs(2.0 * t1 - 6.0 * PAIR_SIDE) <= 1e-9
     assert res.split_perimeter <= 6.0 * PAIR_SIDE + 1e-9

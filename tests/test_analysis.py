@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoperim import (
-    AnalysisDomain,
     ArgumentError,
     DomainError,
     Geometry,
@@ -92,15 +91,6 @@ def test_half_side_domain_upper():
         half_side(3, domain_hi(3))
     with pytest.raises(DomainError):
         half_side(3, 10.0)
-
-
-def test_analysis_domain():
-    dom = AnalysisDomain(5)
-    assert dom.lo == 0.0
-    assert dom.hi == pytest.approx(3 * math.pi / 5)
-    assert dom.contains(1.0) and not dom.contains(0.0)
-    with pytest.raises(DomainError):
-        AnalysisDomain(2)
 
 
 # ------------------------------------------------------------ derivatives

@@ -19,7 +19,6 @@ from isoperim import (
     RegularPolygon,
     ResourceError,
     SplitAssessment,
-    SplitFunctionParams,
     Verdict,
     assess_configuration,
     assess_two_split,
@@ -29,10 +28,10 @@ from isoperim import (
     euclidean_pythagoras_check,
     merge_chain,
     perimeter,
-    split_objective,
     total_area,
     total_perimeter,
 )
+from isoperim import analysis as analysis_module
 from isoperim import configurations
 from isoperim import geometry as geometry_module
 from isoperim.configurations import _partition_count, _partitions_at_most
@@ -340,7 +339,7 @@ def test_counterexample_frozen_values():
 
 def test_counterexample_t1_closed_form():
     res = counterexample_triangles(0.05)
-    t1 = perimeter(res.config.polygons()[0])
+    t1 = perimeter(RegularPolygon(HYP, 3, res.config.areas[0]))
     assert abs(t1 - 3 * math.acosh(3 + 2 * math.sqrt(3))) <= 1e-10
     assert res.split_perimeter <= 6 * math.acosh(3 + 2 * math.sqrt(3)) + 1e-9
 
@@ -579,7 +578,7 @@ def test_brute_force_exact_ties_match_reference(monkeypatch, k_max):
     # A side linear in the area with unit 1 makes every candidate of a total
     # tie exactly; the tie rule alone picks the winner.
     for module in (configurations, geometry_module):
-        monkeypatch.setattr(module, "_side", lambda g, n, area: area)
+        monkeypatch.setattr(module, "_side", lambda g, n, area, m=None: area)
     for g, n in ((EUC, 4), (SPH, 3), (HYP, 3), (HYP, 4), (HYP, 6)):
         for resolution in range(1, 41):
             assert_matches_reference(g, n, float(resolution), k_max, resolution)
@@ -642,14 +641,14 @@ def _reference_assess_configuration(config):
 
 
 def _reference_two_split(geometry, n, total):
+    # the equal split from the area: each half has perimeter perimeter(total / 2)
     single = RegularPolygon(geometry, n, total)
+    half_p = _polygon_perimeter(geometry, n, total / 2.0)
     if geometry is not HYP:
-        return _reference_assessment(single, 2.0 * _polygon_perimeter(geometry, n, total / 2.0))
-    params = SplitFunctionParams(n, single.angle + (n - 2) * math.pi / n)
-    config_p = 2.0 * n * split_objective(params, params.c / 2.0)
+        return _reference_assessment(single, half_p + half_p)
     witness = _reference_witness(geometry, n, total, perimeter(single))
     return _reference_assessment(
-        single, config_p, critical_angle=critical_angle(n).critical_angle, witness=witness
+        single, half_p + half_p, critical_angle=critical_angle(n).critical_angle, witness=witness
     )
 
 
@@ -751,6 +750,31 @@ def test_merge_chain_evaluates_each_distinct_perimeter_once(monkeypatch, k):
         monkeypatch.setattr(module, "_side", counting_side)
     merge_chain(Configuration(HYP, 5, tuple(0.3 + 0.1 * i for i in range(k))))
     assert len(calls) == 2 * k
+
+
+@pytest.mark.parametrize("geometry", [EUC, SPH, HYP])
+def test_two_split_evaluates_the_single_and_the_half_once(monkeypatch, geometry):
+    # the single polygon and the equal split's half, both from their areas;
+    # no half side from an angle alone (the threshold is cached beforehand)
+    critical_angle(5)
+    calls = {"side": 0, "angle": 0}
+    side, half_side = geometry_module._side, geometry_module._half_side
+
+    def counting_side(*args):
+        calls["side"] += 1
+        return side(*args)
+
+    def counting_half_side(n, x, *deficit):
+        calls["angle"] += not deficit
+        return half_side(n, x, *deficit)
+
+    for module in (configurations, analysis_module, geometry_module):
+        if hasattr(module, "_side"):
+            monkeypatch.setattr(module, "_side", counting_side)
+        if hasattr(module, "_half_side"):
+            monkeypatch.setattr(module, "_half_side", counting_half_side)
+    assess_two_split(geometry, 5, 1.5)
+    assert calls == {"side": 2, "angle": 0}
 
 
 # ------------------------------------------------- totals whose half underflows
