@@ -5,10 +5,7 @@ from .analysis import (
     equal_split_margin,
     half_side,
     half_side_d1,
-    half_side_d2,
-    half_side_d3,
     spherical_half_side,
-    spherical_half_side_d2,
     split_objective,
 )
 from .configurations import (
@@ -74,14 +71,11 @@ __all__ = [
     "euclidean_pythagoras_check",
     "half_side",
     "half_side_d1",
-    "half_side_d2",
-    "half_side_d3",
     "inflection_point",
     "merge_chain",
     "perimeter",
     "side_length",
     "spherical_half_side",
-    "spherical_half_side_d2",
     "split_objective",
     "total_area",
     "total_perimeter",

@@ -4,9 +4,8 @@ The hyperbolic half-side kernel maps an interior angle x to the half side
 length of the regular n-gon with that angle, so a polygon's perimeter is
 2*n times the kernel value. The equal-split margin and its slope, built
 from the kernel and its first derivative, drive the threshold computation;
-the second and third derivatives and the two-split objective describe the
-kernel's shape, and the spherical analogue supplies the concavity argument
-for the spherical case.
+the two-split objective adds the half sides of a split, and the spherical
+analogue supplies the concavity argument for the spherical case.
 """
 
 from __future__ import annotations
@@ -89,44 +88,12 @@ def half_side_d1(n: int, x: float) -> float:
 
 def _half_side_d1(n: int, x: float) -> float:
     """half_side_d1 without the domain check."""
+    if x < 1e-150:  # K' = -1/x to rounding: below this, tan(x/2) can round to 0
+        return -1.0 / x
     d = _denominator(n, x)
     if d <= 0.0:
         return -math.inf
     return -(math.cos(math.pi / n) / _SQRT2) * (1.0 / math.tan(x / 2.0)) / math.sqrt(d)
-
-
-def half_side_d2(n: int, x: float) -> float:
-    """Second derivative; crosses zero exactly once, at the inflection point."""
-    _require_angle(n, x)
-    d = _denominator(n, x)
-    if d <= 0.0:
-        return -math.inf
-    half = x / 2.0
-    csc2 = 1.0 / (math.sin(half) ** 2)
-    cot = 1.0 / math.tan(half)
-    bracket = csc2 / math.sqrt(d) - math.sin(x) * cot / d**1.5
-    return (math.cos(math.pi / n) / (2.0 * _SQRT2)) * bracket
-
-
-def half_side_d3(n: int, x: float) -> float:
-    """Third derivative; strictly negative, so the first derivative is concave."""
-    _require_angle(n, x)
-    q = math.cos(2.0 * math.pi / n)
-    cx = math.cos(x)
-    d = _denominator(n, x)
-    if d <= 0.0:
-        return -math.inf
-    half = x / 2.0
-    csc2 = 1.0 / (math.sin(half) ** 2)
-    cot = 1.0 / math.tan(half)
-    # cx + 3 - 2q as 2*cos(x/2)^2 + 4*sin(pi/n)^2: a sum of positive terms,
-    # where the plain form cancels as x approaches the flat angle
-    tail = 2.0 * math.cos(half) ** 2 + 4.0 * math.sin(math.pi / n) ** 2
-    bracket = (
-        -cot * csc2 * (2.0 * q + 3.0 * cx - 1.0) / d**1.5
-        - math.sin(x) * tail / d**2.5
-    )
-    return (math.cos(math.pi / n) / (4.0 * _SQRT2)) * bracket
 
 
 def _require_spherical_angle(n: int, x: float) -> None:
@@ -145,25 +112,6 @@ def spherical_half_side(n: int, x: float) -> float:
     """
     _require_spherical_angle(n, x)
     return _half_side(n, x, 0.5 * (x - (n - 2) * math.pi / n), 1)
-
-
-def spherical_half_side_d2(n: int, x: float) -> float:
-    """Second derivative of the spherical half side; negative (the kernel is concave)."""
-    _require_spherical_angle(n, x)
-    cpn = math.cos(math.pi / n)
-    half = x / 2.0
-    csc = 1.0 / math.sin(half)
-    cot = 1.0 / math.tan(half)
-    t = 1.0 - (cpn * csc) ** 2
-    if t <= 0.0:
-        # the kernel has a square-root singularity at the degenerate angle
-        return -math.inf
-    root = math.sqrt(t)
-    return (
-        -cpn * csc**3 / (4.0 * root)
-        - cpn * cot**2 * csc / (4.0 * root)
-        - cpn**3 * cot**2 * csc**3 / (4.0 * t * root)
-    )
 
 
 def split_objective(params: SplitFunctionParams, x: float) -> float:

@@ -31,7 +31,7 @@ from .configurations import (
     assess_two_split,
     counterexample_triangles,
 )
-from .errors import ArgumentError, BracketError, ConvergenceError, DomainError
+from .errors import BracketError, ConvergenceError, DomainError
 from .geometry import (
     MAX_SIDES,
     Geometry,
@@ -358,7 +358,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # downstream consumer (e.g. head) closed the stream; not an error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (DomainError, ArgumentError, ValueError) as exc:
+    except ValueError as exc:  # DomainError and ArgumentError among them
         _emit_error(args.command, exc)
         return 2
     except (ConvergenceError, BracketError) as exc:

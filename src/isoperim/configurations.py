@@ -29,8 +29,8 @@ TIE_TOL = 1e-9
 MAX_PARTS = 4
 MAX_RESOLUTION = 2000
 MAX_EVALUATIONS = 10**8
-# Candidates brute_force_min scores per numpy pass, which bounds its working
-# memory; above MAX_RESOLUTION // 2 + 1, so any prefix's pairs fit in one pass.
+# Cells brute_force_min scores per numpy block, which bounds its working
+# memory; above MAX_RESOLUTION // 2 + 1, so a block holds at least a whole row.
 _CHUNK = 8192
 
 
@@ -289,15 +289,6 @@ def _partition_count(total: int, parts: int) -> int:
     return _partitions_at_most(total - parts, parts) if parts <= total else 0
 
 
-def _ranges(np, start, stop):
-    """Flatten the ranges start[i] <= a <= stop[i] in row order: (row of each a, a)."""
-    counts = np.maximum(stop - start + 1, 0)
-    row = np.repeat(np.arange(counts.size), counts)
-    a = np.arange(row.size)
-    a += (start + counts - np.cumsum(counts))[row]
-    return row, a
-
-
 def _elementwise(np) -> SimpleNamespace:
     """The math namespace of geometry._side for 1-D numpy arrays.
 
@@ -314,6 +305,38 @@ def _elementwise(np) -> SimpleNamespace:
         sin=each(math.sin), asin=each(math.asin), log1p=each(math.log1p),
         sqrt=np.sqrt, where=np.where,
     )
+
+
+def _cells(np, lo, hi):
+    """Row blocks (r0, r1, c) of the columns lo[r] <= c <= hi[r], about _CHUNK cells each.
+
+    The widths hi - lo + 1 must not rise from row to row: a block is as
+    wide as its first row, and a later row's extra columns (c > hi[r]) are
+    junk for the caller to mask.
+    """
+    r0 = 0
+    while r0 < lo.size and hi[r0] >= lo[r0]:
+        width = int(hi[r0] - lo[r0]) + 1
+        r1 = min(r0 + _CHUNK // width, lo.size)
+        yield r0, r1, lo[r0:r1, None] + np.arange(width)
+        r0 = r1
+
+
+def _first_tie(np, perims, R, value, u, lo, c):
+    """Lexicographically smallest (a, b, c, d) scoring `value` in the cells (u, c).
+
+    The cell (u, c) holds a = u - b, lo <= b <= min(c, u), d = R - u - c;
+    each of its vectors is scored again with the reference's additions.
+    """
+    if u.size == 1 and min(c[0], u[0]) == lo[0]:  # one cell, one prefix
+        return int(u[0] - lo[0]), int(lo[0]), int(c[0]), int(R - u[0] - c[0])
+    u, lo, c = u[:, None], lo[:, None], c[:, None]
+    top, d = np.minimum(c, u), R - u - c
+    b = lo + np.arange(int((top - lo).max()) + 1)
+    score = ((perims[u - b] + perims[b]) + perims[c]) + perims[d]
+    i, j = np.nonzero((b <= top) & (score == value))
+    parts = np.stack([u[i, 0] - b[i, j], b[i, j], c[i, 0], d[i, 0]])
+    return tuple(int(p) for p in parts[:, np.lexsort(parts[::-1])[0]])
 
 
 def brute_force_min(
@@ -358,41 +381,46 @@ def brute_force_min(
     areas = np.arange(first, R + 1) * unit
     finite = first - 1 + int(np.count_nonzero((lo < areas) & (areas < hi)))
     perims = np.full(R + 1, np.inf)
+    perims[0] = 0.0  # an absent part: 0 + p is p, so no sum changes
     table = _side(geometry, n, areas[: finite + 1 - first], _elementwise(np))
     perims[first : finite + 1] = n * table
-    best_perimeter = float(perims[R])
-    best_units: tuple[int, ...] | None = (R,) if best_perimeter < math.inf else None
-    for k in range(2, k_max + 1):
-        # Sorted (k-2)-part prefixes in lexicographic order with their
-        # left-to-right perimeter sums; part j of k is at most rem // (k - j),
-        # and at most `finite`, which drops the prefixes with an infinite sum.
-        links = []  # per prefix part: (index of the shorter prefix, part)
-        sums, rem, start = np.zeros(1), np.full(1, R), np.ones(1, np.int64)
-        for j in range(k - 2):
-            row, part = _ranges(np, start, np.minimum(rem // (k - j), finite))
-            links.append((row, part))
-            sums, rem, start = sums[row] + perims[part], rem[row] - part, part
-        # Innermost pair start <= a <= rem - a, scored flat in row-major order
-        # in chunks; a chunk's first minimum wins only if strictly better, so
-        # ties keep fewer parts, then the lexicographically smallest vector.
-        ends = np.cumsum(np.maximum(rem // 2 - start + 1, 0))
-        r0 = done = 0
-        while r0 < ends.size and done < ends[-1]:  # each chunk then holds a pair
-            r1 = int(np.searchsorted(ends, done + _CHUNK, "right"))
-            row, a = _ranges(np, start[r0:r1], rem[r0:r1] // 2)
-            row += r0
-            cand = (sums[row] + perims[a]) + perims[rem[row] - a]
-            i = int(np.argmin(cand))
-            if cand[i] < best_perimeter:
-                best_perimeter, r = float(cand[i]), row[i]
-                parts = [int(a[i]), int(rem[r] - a[i])]
-                for owner, part in reversed(links):  # trace the prefix back
-                    parts.insert(0, int(part[r]))
-                    r = owner[r]
-                best_units = tuple(parts)
-            r0, done = r1, int(ends[r1 - 1])
 
-    if best_units is None or not math.isfinite(best_perimeter):
+    # Every candidate is a sorted vector 0 <= a <= b <= c <= d summing to R,
+    # at least 4 - k_max of its parts absent (0), scored like the reference
+    # as ((P[a] + P[b]) + P[c]) + P[d]. Fewer parts, then the
+    # lexicographically smallest vector, is then the smallest padded vector.
+    # Row u = a + b of a block holds the prefix sums P[u - b] + P[b] in the
+    # columns b <= u, and their running minimum G[u, c] the least one with
+    # b <= c. Round-to-nearest addition is monotone, so
+    # (G[u, c] + P[c]) + P[R - u - c] is the least score in the cell (u, c),
+    # and the least cell the least candidate: at k_max = 4, about R^2/8
+    # cells stand for R^3/144 vectors. A prefix above its cell's minimum
+    # can still tie after rounding, so each tied cell's prefixes are scored
+    # again (_first_tie).
+    u = np.arange((0, 0, R // 3, R // 2)[k_max - 1] + 1)
+    b_lo = (u + 1) // 2 if k_max == 4 else u  # below four parts, a = 0
+    c_hi = (R - u) // 2 if k_max > 1 else u  # c <= d; k_max = 1: c = 0, d = R
+    best = (math.inf, ())  # (least score, first vector)
+    for r0, r1, c in _cells(np, b_lo, c_hi):
+        ur, score = u[r0:r1, None], np.empty(c.shape)
+        # the prefix columns b = c <= u come first, most of them in the last row
+        w = min(c.shape[1], int(u[r1 - 1] - b_lo[r1 - 1]) + 1)
+        g = perims[ur - c[:, :w]] + perims[c[:, :w]]
+        g[c[:, :w] > ur] = np.inf  # no prefix there (and u - c wraps)
+        score[:, :w] = np.minimum.accumulate(g, axis=1)
+        score[:, w:] = score[:, w - 1 : w]
+        score += perims[c]
+        score += perims[R - ur - c]
+        score[c > c_hi[r0:r1, None]] = np.inf  # past the row's last cell
+        value = float(score.min())
+        if value <= best[0] and value < math.inf:
+            row, col = np.nonzero(score == value)
+            tie = _first_tie(np, perims, R, value, ur[row, 0], b_lo[r0 + row], c[row, col])
+            best = min(best, (value, tie))
+        del score, g, c  # before the next block is built
+
+    best_perimeter, best_units = best[0], tuple(p for p in best[1] if p)
+    if not best_units:
         raise DomainError(
             f"no valid partition of area {total} at resolution {resolution} in {geometry.kind}"
         )

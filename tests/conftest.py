@@ -5,6 +5,7 @@ significant digits and rounded to the nearest double; tests compare
 library output against them at stated tolerances.
 """
 
+import math
 from collections.abc import Callable
 
 import numpy as np
@@ -87,3 +88,68 @@ def check_concave_split(
 def central_difference(f: Callable[[float], float], x: float, h: float = 1e-6) -> float:
     """Symmetric finite-difference estimate of f'(x) with step h."""
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+# ------------------------------------------------- shape-only derivatives
+#
+# The library needs only the kernel and its first derivative; the paper's
+# shape claims (one inflection point, a concave first derivative, a concave
+# spherical kernel) are checked with these closed forms. No domain check:
+# callers pass angles inside (0, (n-2)*pi/n), or [(n-2)*pi/n, pi] for the
+# spherical one.
+
+
+def _denominator(n: int, x: float) -> float:
+    """cos(2*pi/n) + cos(x) as 2*cos(x/2 + pi/n)*cos(x/2 - pi/n), free of cancellation."""
+    a = math.pi / n
+    return 2.0 * math.cos(0.5 * x + a) * math.cos(0.5 * x - a)
+
+
+def half_side_d2(n: int, x: float) -> float:
+    """Second derivative of the hyperbolic half side; crosses zero once, at the inflection point."""
+    d = _denominator(n, x)
+    if d <= 0.0:
+        return -math.inf
+    half = x / 2.0
+    csc2 = 1.0 / (math.sin(half) ** 2)
+    cot = 1.0 / math.tan(half)
+    bracket = csc2 / math.sqrt(d) - math.sin(x) * cot / d**1.5
+    return (math.cos(math.pi / n) / (2.0 * math.sqrt(2.0))) * bracket
+
+
+def half_side_d3(n: int, x: float) -> float:
+    """Third derivative; strictly negative, so the first derivative is concave."""
+    q = math.cos(2.0 * math.pi / n)
+    cx = math.cos(x)
+    d = _denominator(n, x)
+    if d <= 0.0:
+        return -math.inf
+    half = x / 2.0
+    csc2 = 1.0 / (math.sin(half) ** 2)
+    cot = 1.0 / math.tan(half)
+    # cx + 3 - 2q as 2*cos(x/2)^2 + 4*sin(pi/n)^2: a sum of positive terms,
+    # where the plain form cancels as x approaches the flat angle
+    tail = 2.0 * math.cos(half) ** 2 + 4.0 * math.sin(math.pi / n) ** 2
+    bracket = (
+        -cot * csc2 * (2.0 * q + 3.0 * cx - 1.0) / d**1.5
+        - math.sin(x) * tail / d**2.5
+    )
+    return (math.cos(math.pi / n) / (4.0 * math.sqrt(2.0))) * bracket
+
+
+def spherical_half_side_d2(n: int, x: float) -> float:
+    """Second derivative of the spherical half side; negative (the kernel is concave)."""
+    cpn = math.cos(math.pi / n)
+    half = x / 2.0
+    csc = 1.0 / math.sin(half)
+    cot = 1.0 / math.tan(half)
+    t = 1.0 - (cpn * csc) ** 2
+    if t <= 0.0:
+        # the kernel has a square-root singularity at the degenerate angle
+        return -math.inf
+    root = math.sqrt(t)
+    return (
+        -cpn * csc**3 / (4.0 * root)
+        - cpn * cot**2 * csc / (4.0 * root)
+        - cpn**3 * cot**2 * csc**3 / (4.0 * t * root)
+    )

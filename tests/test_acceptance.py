@@ -23,14 +23,18 @@ from isoperim import (
     euclidean_pythagoras_check,
     half_side,
     half_side_d1,
-    half_side_d2,
-    half_side_d3,
     inflection_point,
     merge_chain,
     perimeter,
 )
 
-from conftest import central_difference, sign_changes, staged_scan_root
+from conftest import (
+    central_difference,
+    half_side_d2,
+    half_side_d3,
+    sign_changes,
+    staged_scan_root,
+)
 
 HYP = Geometry.HYPERBOLIC
 SPH = Geometry.SPHERICAL

@@ -6,7 +6,9 @@ import operator
 import random
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -431,8 +433,6 @@ def test_brute_force_rejects_non_integer_arguments(k_max, resolution, message):
 
 
 def test_brute_force_accepts_numpy_integers():
-    import numpy as np
-
     expected = brute_force_min(EUC, 4, 1.0, 2, 10)
     assert brute_force_min(EUC, 4, 1.0, np.int64(2), np.int32(10)) == expected
 
@@ -584,6 +584,50 @@ def test_brute_force_exact_ties_match_reference(monkeypatch, k_max):
             assert_matches_reference(g, n, float(resolution), k_max, resolution)
     best, p = brute_force_min(HYP, 3, 4.0, k_max, 4)
     assert (best.areas, p) == ((1.0, 3.0), 12.0)
+
+
+@given(
+    k_max=st.integers(2, 4),
+    place=st.sampled_from([(EUC, 4), (SPH, 3), (HYP, 3), (HYP, 6)]),
+    scale=st.floats(1e-3, 1e3),
+    cap=st.integers(2, 6),
+    extras=st.lists(st.sampled_from([0, 0, 1]), min_size=24, max_size=24),
+    nudges=st.lists(st.sampled_from([0, 1, -1]), min_size=24, max_size=24),
+)
+@settings(deadline=None, max_examples=200)
+def test_brute_force_near_ties_match_reference(k_max, place, scale, cap, extras, nudges):
+    # Sides u*scale (plus scale at random) up to a cap and 4u*scale past it,
+    # each moved by a relative 0 or +-2**-50: vectors of four parts near the
+    # cap tie exactly or only after a rounding, so a cell's least prefix sum
+    # is not always the winning vector's.
+    multiples = [u + e if u <= cap else 4 * u for u, e in zip(range(1, 25), extras)]
+    sides = np.array([0.0] + [m * scale * (1.0 + e * 2.0**-50) for m, e in zip(multiples, nudges)])
+
+    def side(g, n, area, m=None):
+        return float(sides[int(area)]) if m is None else sides[area.astype(int)]
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (configurations, geometry_module):
+            patch.setattr(module, "_side", side)
+        for resolution in range(1, 25):
+            assert_matches_reference(*place, float(resolution), k_max, resolution)
+
+
+def test_brute_force_working_memory():
+    # Cells are scored in blocks of about 8192: all of them at R = 2000 would
+    # be R**2/8 doubles (4 MB), and the prefix enumeration they replaced
+    # peaked at 8.1 MB.
+    area = hyp_area(3, 0.1)
+    brute_force_min(HYP, 3, area, 4, 350)  # numpy loaded
+    tracemalloc.start()
+    try:
+        for resolution, limit in ((2000, 4e6), (350, 1e6)):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            brute_force_min(HYP, 3, area, 4, resolution)
+            assert tracemalloc.get_traced_memory()[1] - before < limit
+    finally:
+        tracemalloc.stop()
 
 
 # ------------------------------------- decision bits against a public reference

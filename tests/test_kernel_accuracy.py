@@ -23,6 +23,7 @@ from isoperim import (
     critical_angle,
     equal_split_margin,
     half_side,
+    half_side_d1,
     perimeter,
     spherical_half_side,
 )
@@ -141,6 +142,21 @@ def test_spherical_half_side_next_to_the_flat_angle():
 def test_half_side_at_tiny_angles(n, x):
     ref = mp.acosh(mp.cos(mp.pi / n) / mp.sin(mp.mpf(x) / 2))
     assert _rel(half_side(n, x), ref) <= 2 * EPS
+
+
+@pytest.mark.parametrize("n", [3, 1000, 10**6])
+@pytest.mark.parametrize("x", [1e-150, 1e-160, 1e-300, 1e-310, 5e-324])
+def test_half_side_d1_at_tiny_angles(n, x):
+    # d/dx acosh(r) = r'/sqrt(r^2 - 1) for r = cos(pi/n)/sin(x/2); from
+    # 1e-310 down the true slope overflows, and so must the library's
+    a, half = mp.pi / n, mp.mpf(x) / 2
+    r = mp.cos(a) / mp.sin(half)
+    ref = -mp.cos(a) * mp.cos(half) / (2 * mp.sin(half) ** 2) / mp.sqrt(r * r - 1)
+    got = half_side_d1(n, x)
+    if -ref > sys.float_info.max:
+        assert got == -math.inf
+    else:
+        assert abs(mp.mpf(got) - ref) <= 2 * EPS * abs(ref)
 
 
 def test_margin_at_a_tiny_angle_is_finite():

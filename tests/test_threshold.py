@@ -10,13 +10,20 @@ from isoperim import (
     ConvergenceError,
     critical_angle,
     equal_split_margin,
-    half_side_d2,
     inflection_point,
 )
 from isoperim import threshold
 from isoperim.threshold import _bisect
 
-from conftest import MAX_AREA_3, THETA_3, THETA_4, THETA_5, X0_3, staged_scan_root
+from conftest import (
+    MAX_AREA_3,
+    THETA_3,
+    THETA_4,
+    THETA_5,
+    X0_3,
+    half_side_d2,
+    staged_scan_root,
+)
 
 
 def domain_hi(n: int) -> float:
