@@ -307,36 +307,19 @@ def _elementwise(np) -> SimpleNamespace:
     )
 
 
-def _cells(np, lo, hi):
-    """Row blocks (r0, r1, c) of the columns lo[r] <= c <= hi[r], about _CHUNK cells each.
-
-    The widths hi - lo + 1 must not rise from row to row: a block is as
-    wide as its first row, and a later row's extra columns (c > hi[r]) are
-    junk for the caller to mask.
-    """
-    r0 = 0
-    while r0 < lo.size and hi[r0] >= lo[r0]:
-        width = int(hi[r0] - lo[r0]) + 1
-        r1 = min(r0 + _CHUNK // width, lo.size)
-        yield r0, r1, lo[r0:r1, None] + np.arange(width)
-        r0 = r1
-
-
-def _first_tie(np, perims, R, value, u, lo, c):
+def _first_tie(perims, R, value, u, lo, c):
     """Lexicographically smallest (a, b, c, d) scoring `value` in the cells (u, c).
 
     The cell (u, c) holds a = u - b, lo <= b <= min(c, u), d = R - u - c;
     each of its vectors is scored again with the reference's additions.
     """
-    if u.size == 1 and min(c[0], u[0]) == lo[0]:  # one cell, one prefix
-        return int(u[0] - lo[0]), int(lo[0]), int(c[0]), int(R - u[0] - c[0])
-    u, lo, c = u[:, None], lo[:, None], c[:, None]
-    top, d = np.minimum(c, u), R - u - c
-    b = lo + np.arange(int((top - lo).max()) + 1)
-    score = ((perims[u - b] + perims[b]) + perims[c]) + perims[d]
-    i, j = np.nonzero((b <= top) & (score == value))
-    parts = np.stack([u[i, 0] - b[i, j], b[i, j], c[i, 0], d[i, 0]])
-    return tuple(int(p) for p in parts[:, np.lexsort(parts[::-1])[0]])
+    P = perims.tolist()
+    return min(
+        (u - b, b, c, R - u - c)
+        for u, lo, c in zip(u.tolist(), lo.tolist(), c.tolist())
+        for b in range(lo, min(c, u) + 1)
+        if ((P[u - b] + P[b]) + P[c]) + P[R - u - c] == value
+    )
 
 
 def brute_force_min(
@@ -401,7 +384,13 @@ def brute_force_min(
     b_lo = (u + 1) // 2 if k_max == 4 else u  # below four parts, a = 0
     c_hi = (R - u) // 2 if k_max > 1 else u  # c <= d; k_max = 1: c = 0, d = R
     best = (math.inf, ())  # (least score, first vector)
-    for r0, r1, c in _cells(np, b_lo, c_hi):
+    r0 = 0
+    # a block of about _CHUNK cells is as wide as its first row; the row
+    # widths c_hi - b_lo + 1 never rise, so later rows' extra columns are masked
+    while r0 < u.size and c_hi[r0] >= b_lo[r0]:
+        width = int(c_hi[r0] - b_lo[r0]) + 1
+        r1 = min(r0 + _CHUNK // width, u.size)
+        c = b_lo[r0:r1, None] + np.arange(width)
         ur, score = u[r0:r1, None], np.empty(c.shape)
         # the prefix columns b = c <= u come first, most of them in the last row
         w = min(c.shape[1], int(u[r1 - 1] - b_lo[r1 - 1]) + 1)
@@ -415,9 +404,10 @@ def brute_force_min(
         value = float(score.min())
         if value <= best[0] and value < math.inf:
             row, col = np.nonzero(score == value)
-            tie = _first_tie(np, perims, R, value, ur[row, 0], b_lo[r0 + row], c[row, col])
+            tie = _first_tie(perims, R, value, ur[row, 0], b_lo[r0 + row], c[row, col])
             best = min(best, (value, tie))
         del score, g, c  # before the next block is built
+        r0 = r1
 
     best_perimeter, best_units = best[0], tuple(p for p in best[1] if p)
     if not best_units:

@@ -99,14 +99,11 @@ def central_difference(f: Callable[[float], float], x: float, h: float = 1e-6) -
 # spherical one.
 
 
-def _denominator(n: int, x: float) -> float:
-    """cos(2*pi/n) + cos(x) as 2*cos(x/2 + pi/n)*cos(x/2 - pi/n), free of cancellation."""
-    a = math.pi / n
-    return 2.0 * math.cos(0.5 * x + a) * math.cos(0.5 * x - a)
-
-
 def half_side_d2(n: int, x: float) -> float:
     """Second derivative of the hyperbolic half side; crosses zero once, at the inflection point."""
+    # imported here: bench/test_reference.py loads this file without the package
+    from isoperim.analysis import _denominator
+
     d = _denominator(n, x)
     if d <= 0.0:
         return -math.inf
@@ -119,6 +116,9 @@ def half_side_d2(n: int, x: float) -> float:
 
 def half_side_d3(n: int, x: float) -> float:
     """Third derivative; strictly negative, so the first derivative is concave."""
+    # imported here: bench/test_reference.py loads this file without the package
+    from isoperim.analysis import _denominator
+
     q = math.cos(2.0 * math.pi / n)
     cx = math.cos(x)
     d = _denominator(n, x)
