@@ -185,51 +185,43 @@ def merge_chain(config: Configuration) -> SplitAssessment:
     """
     if config.geometry is not Geometry.HYPERBOLIC:
         raise DomainError("merge chains are defined for hyperbolic configurations")
-    geometry, n = config.geometry, config.n
-    merged_areas = list(accumulate(config.areas))  # left to right: the last is total_area
-    total = merged_areas[-1]
-    validate_area(geometry, n, total)  # the merged areas rise to it: this checks them all
-    parts = _part_perimeters(config)
-    merged = parts[:1] + [n * _side(geometry, n, a) for a in merged_areas[1:]]
-    steps = tuple([
-        MergeStep(pair_perimeter=p + q, merged_area=a, merged_perimeter=m)
-        for p, q, a, m in zip(merged, parts[1:], merged_areas[1:], merged[1:])
-    ])
-    single_p, config_p = merged[-1], reduce(add, parts)
-    half = total / 2.0
-
-    threshold = critical_angle(n)
-    return SplitAssessment(
-        single_perimeter=single_p,
-        config_perimeter=config_p,
-        verdict=_verdict(config_p, single_p),
-        angle=_angle(geometry, n, total),
-        critical_angle=threshold.critical_angle,
-        witness=_equal_split_witness(geometry, n, half, n * _side(geometry, n, half), single_p),
-        merge_steps=steps,
-        part_perimeters=tuple(parts),
-    )
+    return assess_configuration(config)
 
 
 def assess_configuration(config: Configuration) -> SplitAssessment:
     """Compare a configuration against the single polygon of its total area.
 
-    Hyperbolic configurations get the full merge chain (see merge_chain);
-    in the flat and spherical planes the verdict alone decides, and no
-    threshold or witness exists.
+    Hyperbolic configurations get the full merge chain (see merge_chain),
+    the critical angle and the equal split's witness; in the flat and
+    spherical planes the verdict alone decides, and no threshold or
+    witness exists.
     """
-    if config.geometry is Geometry.HYPERBOLIC:
-        return merge_chain(config)
-    total = total_area(config)
-    validate_area(config.geometry, config.n, total)
-    single_p = config.n * _side(config.geometry, config.n, total)
+    geometry, n = config.geometry, config.n
+    merged_areas = list(accumulate(config.areas))  # left to right: the last is total_area
+    total = merged_areas[-1]
+    validate_area(geometry, n, total)  # the merged areas rise to it: this checks them all
     parts = _part_perimeters(config)
     config_p = reduce(add, parts)
+    steps, threshold, witness = (), None, None
+    if geometry is Geometry.HYPERBOLIC:
+        merged = parts[:1] + [n * _side(geometry, n, a) for a in merged_areas[1:]]
+        steps = tuple([
+            MergeStep(pair_perimeter=p + q, merged_area=a, merged_perimeter=m)
+            for p, q, a, m in zip(merged, parts[1:], merged_areas[1:], merged[1:])
+        ])
+        single_p, half = merged[-1], total / 2.0
+        threshold = critical_angle(n).critical_angle
+        witness = _equal_split_witness(geometry, n, half, n * _side(geometry, n, half), single_p)
+    else:
+        single_p = n * _side(geometry, n, total)
     return SplitAssessment(
         single_perimeter=single_p,
         config_perimeter=config_p,
         verdict=_verdict(config_p, single_p),
-        angle=_angle(config.geometry, config.n, total),
+        angle=_angle(geometry, n, total),
+        critical_angle=threshold,
+        witness=witness,
+        merge_steps=steps,
         part_perimeters=tuple(parts),
     )
 
@@ -272,21 +264,6 @@ def counterexample_triangles(epsilon: float) -> CounterexampleResult:
         single_perimeter=single_p,
         margin=single_p - split_p,
     )
-
-
-def _partitions_at_most(total: int, parts: int) -> int:
-    """Number of partitions of `total` into at most `parts` parts."""
-    at_most = [1] + [0] * total
-    for size in range(1, parts + 1):
-        # at_most[v] += at_most[v - size] for rising v, one residue class at a time
-        for r in range(size):
-            at_most[r::size] = accumulate(at_most[r::size])
-    return at_most[total]
-
-
-def _partition_count(total: int, parts: int) -> int:
-    """Number of partitions of `total` into exactly `parts` parts of size >= 1."""
-    return _partitions_at_most(total - parts, parts) if parts <= total else 0
 
 
 def _elementwise(np) -> SimpleNamespace:
@@ -336,7 +313,9 @@ def brute_force_min(
     multiset of at most k_max positive unit counts summing to the full
     amount is a candidate. Ties prefer fewer polygons, then the
     lexicographically smallest area vector. Intended as an independent
-    oracle for the analytic verdicts.
+    oracle for the analytic verdicts. `max_evaluations` bounds the number
+    of cells (prefix total, third part) the search scores; a larger count
+    raises ResourceError before any perimeter is computed.
     """
     import numpy as np  # here, so that importing the package does not load numpy
 
@@ -348,25 +327,6 @@ def brute_force_min(
             raise DomainError(f"{name} must lie in [1, {top}], got {value}")
     if not total > 0.0:
         raise DomainError(f"total area must be positive, got {total}")
-
-    evaluations = _partitions_at_most(resolution, k_max)
-    if evaluations > max_evaluations:
-        raise ResourceError(
-            f"{evaluations} candidate partitions exceed the budget of {max_evaluations}"
-        )
-
-    R = resolution
-    unit = total / R
-    lo, hi = area_bounds(geometry, n)
-    # k_max = 1 needs only u = R. 0 < u * unit < hi holds for an initial run
-    # of the unit counts u, so perims is finite exactly on first..finite.
-    first = R if k_max == 1 else 1
-    areas = np.arange(first, R + 1) * unit
-    finite = first - 1 + int(np.count_nonzero((lo < areas) & (areas < hi)))
-    perims = np.full(R + 1, np.inf)
-    perims[0] = 0.0  # an absent part: 0 + p is p, so no sum changes
-    table = _side(geometry, n, areas[: finite + 1 - first], _elementwise(np))
-    perims[first : finite + 1] = n * table
 
     # Every candidate is a sorted vector 0 <= a <= b <= c <= d summing to R,
     # at least 4 - k_max of its parts absent (0), scored like the reference
@@ -380,9 +340,26 @@ def brute_force_min(
     # cells stand for R^3/144 vectors. A prefix above its cell's minimum
     # can still tie after rounding, so each tied cell's prefixes are scored
     # again (_first_tie).
+    R = resolution
     u = np.arange((0, 0, R // 3, R // 2)[k_max - 1] + 1)
     b_lo = (u + 1) // 2 if k_max == 4 else u  # below four parts, a = 0
     c_hi = (R - u) // 2 if k_max > 1 else u  # c <= d; k_max = 1: c = 0, d = R
+    cells = int(np.maximum(c_hi - b_lo + 1, 0).sum())
+    if cells > max_evaluations:
+        raise ResourceError(f"{cells} cells exceed the budget of {max_evaluations}")
+
+    unit = total / R
+    lo, hi = area_bounds(geometry, n)
+    # k_max = 1 needs only u = R. 0 < u * unit < hi holds for an initial run
+    # of the unit counts u, so perims is finite exactly on first..finite.
+    first = R if k_max == 1 else 1
+    areas = np.arange(first, R + 1) * unit
+    finite = first - 1 + int(np.count_nonzero((lo < areas) & (areas < hi)))
+    perims = np.full(R + 1, np.inf)
+    perims[0] = 0.0  # an absent part: 0 + p is p, so no sum changes
+    table = _side(geometry, n, areas[: finite + 1 - first], _elementwise(np))
+    perims[first : finite + 1] = n * table
+
     best = (math.inf, ())  # (least score, first vector)
     r0 = 0
     # a block of about _CHUNK cells is as wide as its first row; the row

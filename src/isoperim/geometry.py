@@ -81,22 +81,31 @@ def _angle(geometry: Geometry, n: int, area):
 
 
 def area_from_angle(geometry: Geometry, n: int, angle: float) -> float:
-    """Area of the regular n-gon with the given interior angle (curved planes only)."""
-    _check_sides(n)
+    """Area of the regular n-gon with the given interior angle (curved planes only).
+
+    An angle inside its open interval whose area rounds onto or past an end
+    of area_bounds is a DomainError too.
+    """
+    lo, hi = area_bounds(geometry, n)
     flat = (n - 2) * math.pi / n
     if geometry is Geometry.EUCLIDEAN:
         raise DomainError("euclidean interior angle does not determine the area")
-    if geometry is Geometry.SPHERICAL:
-        if not flat < angle < math.pi:
-            raise DomainError(
-                f"spherical interior angle must lie in ({flat}, {math.pi}), got {angle}"
-            )
-        return n * angle - (n - 2) * math.pi
-    if not 0.0 < angle < flat:
+    if geometry is Geometry.SPHERICAL and not flat < angle < math.pi:
+        raise DomainError(
+            f"spherical interior angle must lie in ({flat}, {math.pi}), got {angle}"
+        )
+    if geometry is Geometry.HYPERBOLIC and not 0.0 < angle < flat:
         raise DomainError(
             f"hyperbolic interior angle must lie in (0, {flat}), got {angle}"
         )
-    return (n - 2) * math.pi - n * angle
+    top = (n - 2) * math.pi
+    area = n * angle - top if geometry is Geometry.SPHERICAL else top - n * angle
+    if not lo < area < hi:
+        raise DomainError(
+            f"{geometry.kind} interior angle {angle} for n={n} rounds to area {area},"
+            f" outside ({lo}, {hi})"
+        )
+    return area
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,12 @@ import mpmath as mp
 import pytest
 
 from isoperim import (
+    DomainError,
     Geometry,
     RegularPolygon,
     SplitFunctionParams,
+    area_bounds,
+    area_from_angle,
     critical_angle,
     equal_split_margin,
     half_side,
@@ -76,6 +79,38 @@ def test_perim_from_angle(capsys):
     record = record_of(out)
     assert record["results"]["area"] == pytest.approx(math.pi / 2, rel=1e-12)
     assert record["results"]["perimeter"] == pytest.approx(1.5 * math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [13, 24, 46, 1000])
+@pytest.mark.parametrize(
+    "geometry,end",
+    [("spherical", "flat"), ("spherical", "pi"), ("hyperbolic", "flat"), ("hyperbolic", "zero")],
+)
+def test_perim_angle_next_to_its_ends(capsys, geometry, end, n):
+    # one ulp inside each open end of the angle interval (1e-300 for the
+    # hyperbolic lower end); some of these areas round onto or past an end
+    # of area_bounds, and must then be refused as the angle's, not as an area
+    flat = (n - 2) * math.pi / n
+    angle = {
+        "flat": math.nextafter(flat, 4.0 if geometry == "spherical" else 0.0),
+        "pi": math.nextafter(math.pi, 0.0),
+        "zero": 1e-300,
+    }[end]
+    lo, hi = area_bounds(Geometry(geometry), n)
+    try:
+        area = area_from_angle(Geometry(geometry), n, angle)
+    except DomainError as exc:
+        area = None
+        assert f"interior angle {angle} for n={n} rounds to area" in str(exc)
+    else:
+        assert lo < area < hi
+    code, out, err = run_cli(capsys, "perim", geometry, str(n), "--angle", repr(angle))
+    if area is None:
+        assert code == 2 and out == ""
+        assert f"interior angle {angle} for n={n}" in json.loads(err)["error"]["message"]
+    else:
+        assert code == 0
+        assert record_of(out)["results"]["area"] == area
 
 
 def test_perim_euclidean_angle_rejected(capsys):

@@ -36,7 +36,6 @@ from isoperim import (
 from isoperim import analysis as analysis_module
 from isoperim import configurations
 from isoperim import geometry as geometry_module
-from isoperim.configurations import _partition_count, _partitions_at_most
 from isoperim.geometry import area_bounds
 
 from conftest import (
@@ -386,35 +385,31 @@ def test_counterexample_bound_survives_optimized_mode():
 # ------------------------------------------------------------ brute force
 
 
-def test_partition_count_small():
-    # partitions of 10 into exactly 3 parts: 8 of them
-    assert _partition_count(10, 3) == 8
-    assert _partition_count(10, 1) == 1
-    assert _partition_count(10, 2) == 5
-    assert _partition_count(2, 3) == 0
+def test_brute_force_budget_counts_the_cells_it_scores():
+    # a cell is a distinct (a + b, c) over the sorted zero-padded vectors
+    # a <= b <= c <= d summing to R with at most k_max nonzero parts
+    for R in range(1, 61):
+        cells = [set() for _ in range(5)]
+        for a, b, c in itertools.combinations_with_replacement(range(R // 2 + 1), 3):
+            d = R - a - b - c
+            if d >= c:
+                for k_max in range(4 - (a, b, c).count(0), 5):
+                    cells[k_max].add((a + b, c))
+        for k_max in range(1, 5):
+            count = len(cells[k_max])
+            with pytest.raises(ResourceError) as info:
+                brute_force_min(EUC, 4, 1.0, k_max, R, max_evaluations=0)
+            assert str(info.value) == f"{count} cells exceed the budget of 0"
+            with pytest.raises(ResourceError):
+                brute_force_min(EUC, 4, 1.0, k_max, R, max_evaluations=count - 1)
+            brute_force_min(EUC, 4, 1.0, k_max, R, max_evaluations=count)
 
 
-def test_partition_counts_match_itertools():
-    # exactly[k][t]: sorted k-part vectors summing to t <= 60, enumerated as a
-    # sorted head of k - 1 parts (each <= t / 2 <= 30) and a last part at
-    # least the head's last
-    exactly = [[0] * 61 for _ in range(7)]
-    for k in range(1, 7):
-        for head in itertools.combinations_with_replacement(range(1, 31), k - 1):
-            for total in range(sum(head) + (head[-1] if head else 1), 61):
-                exactly[k][total] += 1
-    for total in range(61):
-        for parts in range(1, 7):
-            assert _partition_count(total, parts) == exactly[parts][total]
-            at_most = sum(exactly[k][total] for k in range(1, parts + 1)) + (total == 0)
-            assert _partitions_at_most(total, parts) == at_most
-
-
-@pytest.mark.parametrize("k_max,count", [(1, 1), (2, 1001), (3, 334334), (4, 55973223)])
+@pytest.mark.parametrize("k_max,count", [(1, 1), (2, 1001), (3, 334334), (4, 501001)])
 def test_brute_force_budget_text_at_max_resolution(k_max, count):
     with pytest.raises(ResourceError) as info:
         brute_force_min(HYP, 3, 1.0, k_max, 2000, max_evaluations=count - 1)
-    assert str(info.value) == f"{count} candidate partitions exceed the budget of {count - 1}"
+    assert str(info.value) == f"{count} cells exceed the budget of {count - 1}"
 
 
 @pytest.mark.parametrize(
@@ -508,8 +503,8 @@ def test_brute_force_budget_checked_before_the_table(monkeypatch):
     monkeypatch.setattr(configurations, "_side", no_table)
     with pytest.raises(ResourceError):
         brute_force_min(EUC, 4, 1.0, 3, 500, max_evaluations=10)
-    count = sum(_partition_count(500, k) for k in (1, 2, 3))
-    with pytest.raises(ResourceError, match=f"{count} candidate partitions"):
+    count = sum((500 - b) // 2 - b + 1 for b in range(500 // 3 + 1))  # 0 <= b <= c <= d
+    with pytest.raises(ResourceError, match=f"{count} cells exceed"):
         brute_force_min(EUC, 4, 1.0, 3, 500, max_evaluations=count - 1)
 
 
