@@ -286,16 +286,17 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Parser with every command registered; given a command name, only its arguments."""
+    """Parser with every command, or with only `command`'s; the usage lists every name."""
     parser = argparse.ArgumentParser(
         prog="isoperim",
         description="Perimeter-minimal configurations of regular n-gons in the "
         "Euclidean, spherical and hyperbolic planes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_HANDLERS) + "}" if command else None)
 
-    p = sub.add_parser("perim", help="area, angle, side and perimeter of one polygon")
     if command in (None, "perim"):
+        p = sub.add_parser("perim", help="area, angle, side and perimeter of one polygon")
         p.add_argument("geometry", help="euclidean, spherical or hyperbolic")
         p.add_argument("n", type=int, help="side count")
         group = p.add_mutually_exclusive_group(required=True)
@@ -303,23 +304,23 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         group.add_argument("--angle", type=float, help="interior angle (curved planes only)")
         p.add_argument("--degrees", action="store_true", help="angular inputs are degrees")
 
-    t = sub.add_parser("theta", help="critical angle, inflection point and area bound")
     if command in (None, "theta"):
+        t = sub.add_parser("theta", help="critical angle, inflection point and area bound")
         t.add_argument("n", type=int, nargs="?", help="side count")
         t.add_argument("--range", type=int, nargs=2, metavar=("LO", "HI"),
                        help="emit CSV rows for every side count in [LO, HI]")
         t.add_argument("--format", choices=("json", "csv"), default=None)
 
-    s = sub.add_parser("split", help="compare a split of an area against one polygon")
     if command in (None, "split"):
+        s = sub.add_parser("split", help="compare a split of an area against one polygon")
         s.add_argument("geometry", help="euclidean, spherical or hyperbolic")
         s.add_argument("n", type=int, help="side count")
         s.add_argument("--total-area", type=float, required=True, dest="total_area")
         s.add_argument("--areas", type=str, default=None,
                        help="comma-separated part areas; must sum to the total")
 
-    c = sub.add_parser("scan", help="sample an analysis function on a uniform grid")
     if command in (None, "scan"):
+        c = sub.add_parser("scan", help="sample an analysis function on a uniform grid")
         c.add_argument("--phi", type=int, metavar="N", help="equal-split margin for side count N")
         c.add_argument("--g", type=int, metavar="N", help="half-side kernel for side count N")
         c.add_argument("--h", nargs=2, metavar=("N", "C"),
@@ -327,8 +328,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         c.add_argument("--format", choices=("json", "csv"), default="csv")
         c.add_argument("--degrees", action="store_true", help="angular inputs are degrees")
 
-    x = sub.add_parser("counterexample", help="two hyperbolic triangles against one")
     if command in (None, "counterexample"):
+        x = sub.add_parser("counterexample", help="two hyperbolic triangles against one")
         x.add_argument("--epsilon", type=float, required=True,
                        help="interior angle of the single thin triangle")
         x.add_argument("--degrees", action="store_true", help="angular inputs are degrees")

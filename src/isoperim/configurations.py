@@ -313,18 +313,22 @@ def brute_force_min(
     multiset of at most k_max positive unit counts summing to the full
     amount is a candidate. Ties prefer fewer polygons, then the
     lexicographically smallest area vector. Intended as an independent
-    oracle for the analytic verdicts. `max_evaluations` bounds the number
-    of cells (prefix total, third part) the search scores; a larger count
-    raises ResourceError before any perimeter is computed.
+    oracle for the analytic verdicts. `max_evaluations` (an integer >= 0)
+    bounds the cells (prefix total, third part) the search scores; a
+    larger count raises ResourceError before any perimeter is computed.
     """
     import numpy as np  # here, so that importing the package does not load numpy
 
-    limits = (("k_max", k_max, MAX_PARTS), ("resolution", resolution, MAX_RESOLUTION))
-    for name, value, top in limits:
-        if not isinstance(value, (int, np.integer)):
+    limits = (
+        ("k_max", k_max, 1, MAX_PARTS),
+        ("resolution", resolution, 1, MAX_RESOLUTION),
+        ("max_evaluations", max_evaluations, 0, math.inf),
+    )
+    for name, value, low, top in limits:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise DomainError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= value <= top:
-            raise DomainError(f"{name} must lie in [1, {top}], got {value}")
+        if not low <= value <= top:
+            raise DomainError(f"{name} must lie in [{low}, {top}], got {value}")
     if not total > 0.0:
         raise DomainError(f"total area must be positive, got {total}")
 

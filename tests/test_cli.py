@@ -1,3 +1,4 @@
+import argparse
 import fcntl
 import json
 import math
@@ -588,16 +589,20 @@ PARITY_ARGVS = (
     + [[command, *args, "--format", "xml"] for command, args in _VALID.items()]
     + [[command, *args, "--bogus"] for command, args in _VALID.items()]
     + [["perim", "hyperbolic", "3", "--area", "1", "--angle", "1"]]
+    + [["perim", "hyperbolic", "3", "--area", "1", "extra"]]
 )
 
 
 @pytest.mark.parametrize("argv", PARITY_ARGVS, ids=" ".join)
 def test_parser_for_one_command_reads_like_the_full_parser(capsys, monkeypatch, argv):
-    # help, usage errors and results match a parser built with every argument
-    monkeypatch.setenv("COLUMNS", "80")
-    outcome = run_cli(capsys, *argv)
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
-    assert run_cli(capsys, *argv) == outcome
+    # help, usage errors and results match a parser built with every command;
+    # at 40 columns the top-level usage line wraps
+    for columns in ("80", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        outcome = run_cli(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", lambda command=None: build_parser())
+            assert run_cli(capsys, *argv) == outcome
 
 
 def test_parser_for_one_command_has_only_its_arguments(capsys):
@@ -605,8 +610,26 @@ def test_parser_for_one_command_has_only_its_arguments(capsys):
     assert parser.parse_args(["perim", "hyperbolic", "3", "--area", "1"]).area == 1.0
     with pytest.raises(SystemExit):
         parser.parse_args(["theta", "3"])
-    assert "unrecognized arguments: 3" in capsys.readouterr().err
+    assert "invalid choice: 'theta'" in capsys.readouterr().err
     assert build_parser().parse_args(["theta", "3"]).n == 3
+
+
+@pytest.mark.parametrize(
+    "argv,count",
+    [([command, *args], 2) for command, args in _VALID.items()] + [(["-h"], 6), (["bogus"], 6)],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+)
+def test_main_builds_only_the_parsers_it_uses(capsys, monkeypatch, argv, count):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    run_cli(capsys, *argv)
+    assert len(built) == count
 
 
 # ----------------------------------------------------------- determinism

@@ -419,11 +419,28 @@ def test_brute_force_budget_text_at_max_resolution(k_max, count):
         (2.0, 100, "k_max must be an integer, got 2.0"),
         ("2", 100, "k_max must be an integer, got '2'"),
         (2, 100.0, "resolution must be an integer, got 100.0"),
+        (True, 100, "k_max must be an integer, got True"),
+        (2, True, "resolution must be an integer, got True"),
     ],
 )
 def test_brute_force_rejects_non_integer_arguments(k_max, resolution, message):
     with pytest.raises(DomainError) as info:
         brute_force_min(EUC, 4, 1.0, k_max, resolution)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "budget,message",
+    [
+        (float("nan"), "max_evaluations must be an integer, got nan"),
+        ("x", "max_evaluations must be an integer, got 'x'"),
+        (True, "max_evaluations must be an integer, got True"),
+        (-1, "max_evaluations must lie in [0, inf], got -1"),
+    ],
+)
+def test_brute_force_rejects_invalid_budgets(budget, message):
+    with pytest.raises(DomainError) as info:
+        brute_force_min(EUC, 4, 1.0, 2, 10, max_evaluations=budget)
     assert str(info.value) == message
 
 
