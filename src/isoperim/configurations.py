@@ -314,8 +314,9 @@ def brute_force_min(
     amount is a candidate. Ties prefer fewer polygons, then the
     lexicographically smallest area vector. Intended as an independent
     oracle for the analytic verdicts. `max_evaluations` (an integer >= 0)
-    bounds the cells (prefix total, third part) the search scores; a
-    larger count raises ResourceError before any perimeter is computed.
+    bounds the cells (prefix total, third part) of the grid, and so the
+    cells the search scores; a grid of more cells raises ResourceError
+    before any perimeter is computed.
     """
     import numpy as np  # here, so that importing the package does not load numpy
 
@@ -331,6 +332,7 @@ def brute_force_min(
             raise DomainError(f"{name} must lie in [{low}, {top}], got {value}")
     if not total > 0.0:
         raise DomainError(f"total area must be positive, got {total}")
+    lo, hi = area_bounds(geometry, n)  # checks n before the budget
 
     # Every candidate is a sorted vector 0 <= a <= b <= c <= d summing to R,
     # at least 4 - k_max of its parts absent (0), scored like the reference
@@ -353,7 +355,6 @@ def brute_force_min(
         raise ResourceError(f"{cells} cells exceed the budget of {max_evaluations}")
 
     unit = total / R
-    lo, hi = area_bounds(geometry, n)
     # k_max = 1 needs only u = R. 0 < u * unit < hi holds for an initial run
     # of the unit counts u, so perims is finite exactly on first..finite.
     first = R if k_max == 1 else 1
@@ -364,31 +365,38 @@ def brute_force_min(
     table = _side(geometry, n, areas[: finite + 1 - first], _elementwise(np))
     perims[first : finite + 1] = n * table
 
+    # No cell of row u scores below lb[u]: with S the suffix minima of perims,
+    # P[a] + P[b] >= P[b] >= S[b_lo] (P >= 0), P[c] >= S[b_lo] as c >= b, and
+    # P[d] >= S[ceil((R - u)/2)] as d >= c. A row with lb above the best score
+    # so far can neither win nor tie, and the best only falls, so it is skipped.
+    # lb ends at the last row with cells: c_hi >= b_lo holds on a prefix of u.
+    S = np.minimum.accumulate(perims[::-1])[::-1]
+    lb = ((S[b_lo] + S[b_lo]) + S[(R - u + 1) // 2])[: np.count_nonzero(c_hi >= b_lo)]
     best = (math.inf, ())  # (least score, first vector)
     r0 = 0
     # a block of about _CHUNK cells is as wide as its first row; the row
     # widths c_hi - b_lo + 1 never rise, so later rows' extra columns are masked
-    while r0 < u.size and c_hi[r0] >= b_lo[r0]:
-        width = int(c_hi[r0] - b_lo[r0]) + 1
-        r1 = min(r0 + _CHUNK // width, u.size)
-        c = b_lo[r0:r1, None] + np.arange(width)
-        ur, score = u[r0:r1, None], np.empty(c.shape)
+    while (rows := r0 + np.flatnonzero(lb[r0:] <= best[0])).size:
+        width = int(c_hi[rows[0]] - b_lo[rows[0]]) + 1
+        rows = rows[: _CHUNK // width]
+        c = b_lo[rows, None] + np.arange(width)
+        ur, score = u[rows, None], np.empty(c.shape)
         # the prefix columns b = c <= u come first, most of them in the last row
-        w = min(c.shape[1], int(u[r1 - 1] - b_lo[r1 - 1]) + 1)
+        w = min(c.shape[1], int(u[rows[-1]] - b_lo[rows[-1]]) + 1)
         g = perims[ur - c[:, :w]] + perims[c[:, :w]]
         g[c[:, :w] > ur] = np.inf  # no prefix there (and u - c wraps)
         score[:, :w] = np.minimum.accumulate(g, axis=1)
         score[:, w:] = score[:, w - 1 : w]
         score += perims[c]
         score += perims[R - ur - c]
-        score[c > c_hi[r0:r1, None]] = np.inf  # past the row's last cell
+        score[c > c_hi[rows, None]] = np.inf  # past the row's last cell
         value = float(score.min())
         if value <= best[0] and value < math.inf:
             row, col = np.nonzero(score == value)
-            tie = _first_tie(perims, R, value, ur[row, 0], b_lo[r0 + row], c[row, col])
+            tie = _first_tie(perims, R, value, ur[row, 0], b_lo[rows[row]], c[row, col])
             best = min(best, (value, tie))
         del score, g, c  # before the next block is built
-        r0 = r1
+        r0 = rows[-1] + 1
 
     best_perimeter, best_units = best[0], tuple(p for p in best[1] if p)
     if not best_units:

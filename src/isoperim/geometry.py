@@ -9,6 +9,7 @@ are radians throughout.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,6 +41,10 @@ class Geometry(Enum):
 
 
 def _check_sides(n: int) -> None:
+    try:
+        operator.index(n)  # an int or a numpy integer; no float, not even 3.0
+    except TypeError:
+        raise DomainError(f"side count must be an integer, got {n!r}") from None
     if n < 3:
         raise DomainError(f"side count must be >= 3, got {n}")
     if n > MAX_SIDES:

@@ -95,7 +95,8 @@ def _bisect(
     )
 
 
-@lru_cache(maxsize=None)
+# typed: a float n equal to a cached int must still reach _check_sides
+@lru_cache(maxsize=None, typed=True)
 def inflection_point(n: int) -> float:
     """Unique zero of the kernel's second derivative on its angle domain.
 
@@ -105,7 +106,7 @@ def inflection_point(n: int) -> float:
     return 2.0 * math.acos(math.sqrt(math.sin(math.pi / n)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def critical_angle(n: int) -> ThresholdResult:
     """Critical interior angle: the unique root of the equal-split margin.
 

@@ -605,6 +605,22 @@ def test_parser_for_one_command_reads_like_the_full_parser(capsys, monkeypatch, 
             assert run_cli(capsys, *argv) == outcome
 
 
+@pytest.mark.parametrize("argv", [[], ["bogus"]], ids=repr)
+def test_full_parser_errors_match_a_plain_build(capsys, monkeypatch, argv):
+    # The full build's own errors against a parser built here, with no
+    # metavar: "required: command" and "argument command: invalid choice"
+    # keep their bytes, in whatever wording this Python's argparse uses.
+    monkeypatch.setenv("COLUMNS", "80")
+    plain = argparse.ArgumentParser(prog="isoperim")
+    sub = plain.add_subparsers(dest="command", required=True)
+    for name in ("perim", "theta", "split", "scan", "counterexample"):
+        sub.add_parser(name)
+    with pytest.raises(SystemExit) as info:
+        plain.parse_args(argv)
+    expected = (info.value.code, "", capsys.readouterr().err)
+    assert run_cli(capsys, *argv) == expected
+
+
 def test_parser_for_one_command_has_only_its_arguments(capsys):
     parser = build_parser("perim")
     assert parser.parse_args(["perim", "hyperbolic", "3", "--area", "1"]).area == 1.0

@@ -625,6 +625,80 @@ def test_brute_force_near_ties_match_reference(k_max, place, scale, cap, extras,
             assert_matches_reference(*place, float(resolution), k_max, resolution)
 
 
+# Side tables for the row bound: each draws its values from one of these sets
+# (zeros, exact ties, 0.1 + 0.2 != 0.3), in any order, so few are monotone.
+BOUND_TABLE_VALUES = (
+    [0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1.5, 3.0],
+    [0.0, 1.0, 1.0, 2.0],
+    [0.1, 0.3, 1.0, 3.0, 10.0],
+)
+
+
+@given(
+    k_max=st.integers(1, 4),
+    place=st.sampled_from([(EUC, 4), (SPH, 3), (HYP, 3), (HYP, 6)]),
+    sides=st.sampled_from(BOUND_TABLE_VALUES).flatmap(
+        lambda values: st.lists(st.sampled_from(values), min_size=24, max_size=24)
+    ),
+    cut=st.integers(1, 25),
+    chunk=st.integers(13, 30),
+)
+@settings(deadline=None, max_examples=100)
+def test_brute_force_row_bound_matches_reference(k_max, place, sides, cut, chunk):
+    # The row bound needs only P >= 0: these sides rise and fall, hold zeros
+    # and ties, and are inf past a cut, so suffix minima lie far below most
+    # entries. Blocks of `chunk` >= 13 cells hold one to a few rows at
+    # R <= 24, so the bound is tested after nearly every row.
+    table = np.array([0.0] + [s if u <= cut else math.inf for u, s in enumerate(sides, 1)])
+
+    def side(g, n, area, m=None):
+        return float(table[int(area)]) if m is None else table[area.astype(int)]
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (configurations, geometry_module):
+            patch.setattr(module, "_side", side)
+        patch.setattr(configurations, "_CHUNK", chunk)
+        for resolution in range(1, 25):
+            assert_matches_reference(*place, float(resolution), k_max, resolution)
+
+
+def test_brute_force_row_bound_keeps_rows_that_tie(monkeypatch):
+    # P = 4 * (0, 0, 2, 1, 1, 2) then inf, R = 11, k_max = 4, one row per
+    # block: row u = 2 finds (1, 1, 4, 5) with score 12, and row u = 3 holds
+    # (0, 3, 4, 4), also 12 and with fewer parts, where its bound
+    # 4 * ((1 + 1) + 1) is 12 too. A row whose bound equals the best is scored.
+    table = np.array([0.0, 0.0, 2.0, 1.0, 1.0, 2.0] + [math.inf] * 6)
+    for module in (configurations, geometry_module):
+        monkeypatch.setattr(module, "_side", lambda g, n, area, m=None: table[area.astype(int)])
+    monkeypatch.setattr(configurations, "_CHUNK", 6)
+    best, p = brute_force_min(EUC, 4, 11.0, 4, 11)
+    assert (best.areas, p) == ((3.0, 4.0, 4.0), 12.0)
+
+
+def test_brute_force_skips_rows_that_cannot_win(monkeypatch):
+    # Flat squares, k_max = 3, R = 2000: the single square P[R] wins in row
+    # u = 0, and row u (a = 0, b = u <= c <= d) is scored only while its bound
+    # (P[u] + P[u]) + P[ceil((R - u)/2)] (P rises) does not exceed P[R]: a few
+    # dozen of the 667 rows. Rows are counted in the blocks' running minima.
+    R, scored, minimum = 2000, [], np.minimum
+
+    class CountingMinimum:
+        def __getattr__(self, name):
+            return getattr(minimum, name)
+
+        def accumulate(self, array, axis=0):
+            if array.ndim == 2:
+                scored.append(array.shape[0])
+            return minimum.accumulate(array, axis=axis)
+
+    P = [0.0] + [perimeter(RegularPolygon(EUC, 4, u * (1.0 / R))) for u in range(1, R + 1)]
+    expected = sum((P[u] + P[u]) + P[(R - u + 1) // 2] <= P[R] for u in range(R // 3 + 1))
+    monkeypatch.setattr(np, "minimum", CountingMinimum())
+    best, p = brute_force_min(EUC, 4, 1.0, 3, R)
+    assert (best.areas, p) == ((1.0,), P[R])
+    assert sum(scored) == expected < 50
+
+
 def test_brute_force_working_memory():
     # Cells are scored in blocks of about 8192: all of them at R = 2000 would
     # be R**2/8 doubles (4 MB), and the prefix enumeration they replaced

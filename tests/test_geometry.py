@@ -12,6 +12,8 @@ from isoperim import (
     angle_from_area,
     area_bounds,
     area_from_angle,
+    brute_force_min,
+    critical_angle,
     half_side,
     perimeter,
     side_length,
@@ -164,6 +166,29 @@ def test_side_count_too_small(n):
 def test_side_count_too_large():
     with pytest.raises(DomainError, match="<="):
         RegularPolygon(EUC, 10**6 + 1, 1.0)
+
+
+# public entry points that take a side count, each returning something comparable
+SIDE_COUNT_ENTRIES = {
+    "RegularPolygon": lambda n: RegularPolygon(HYP, n, 1.0).perimeter,
+    "half_side": lambda n: half_side(n, 0.5),
+    "critical_angle": critical_angle,
+    "brute_force_min": lambda n: brute_force_min(EUC, n, 1.0, 2, 10),
+}
+
+
+@pytest.mark.parametrize("entry", SIDE_COUNT_ENTRIES)
+@pytest.mark.parametrize("n", [4.5, 3.0, 5.0, math.nan, math.inf, np.float64(5.0)])
+def test_side_count_must_be_an_integer(entry, n):
+    critical_angle(3), critical_angle(5)  # a cached int must not answer for an equal float
+    with pytest.raises(DomainError) as info:
+        SIDE_COUNT_ENTRIES[entry](n)
+    assert str(info.value) == f"side count must be an integer, got {n!r}"
+
+
+@pytest.mark.parametrize("entry", SIDE_COUNT_ENTRIES)
+def test_side_count_accepts_numpy_integers(entry):
+    assert SIDE_COUNT_ENTRIES[entry](np.int64(5)) == SIDE_COUNT_ENTRIES[entry](5)
 
 
 @pytest.mark.parametrize(
