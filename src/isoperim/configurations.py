@@ -365,14 +365,38 @@ def brute_force_min(
     table = _side(geometry, n, areas[: finite + 1 - first], _elementwise(np))
     perims[first : finite + 1] = n * table
 
-    # No cell of row u scores below lb[u]: with S the suffix minima of perims,
-    # P[a] + P[b] >= P[b] >= S[b_lo] (P >= 0), P[c] >= S[b_lo] as c >= b, and
-    # P[d] >= S[ceil((R - u)/2)] as d >= c. A row with lb above the best score
-    # so far can neither win nor tie, and the best only falls, so it is skipped.
+    # No cell of row u scores below lb[u], the larger of two bounds; both need
+    # only P >= 0 (and sums far from overflow: perimeters stay below 1e155).
+    # With S the suffix minima of perims and b0 = b_lo[u]:
+    # (1) (S[b0] + S[b0]) + S[ceil((R - u)/2)]: P[a] + P[b] >= P[b] >= S[b0],
+    #     P[c] >= S[b0] as c >= b, P[d] >= S[ceil((R - u)/2)] as d >= c, and
+    #     rounded addition is monotone.
+    # (2) A line under the table: with m = min P[i]/i over i >= 1,
+    #     P[c] + P[d] >= m*(R - u), and the rounded prefix fl(P[a] + P[b]) is
+    #     at least h = S[b0] (P[u] itself below four parts, where a = 0). The
+    #     score's last two roundings leave it >= (h + m*(R - u))*(1 - eps)^2,
+    #     eps = 2^-53. The computed m may round up, by eps relative (below
+    #     2^-1000, where P[i]/i may be subnormal, m is taken as 0), and forming
+    #     the bound rounds three times more: it is at most
+    #     (h + m*(R - u))*(1 + eps)^4*(1 - 2^-45), below the score as 2^-45
+    #     is far above 6*eps.
+    # A row with lb above the best score so far can neither win nor tie, and
+    # the best only falls, so it is skipped. The single polygon (0, 0, 0, R)
+    # is the smallest vector of all, so the best starts there, at P[R].
     # lb ends at the last row with cells: c_hi >= b_lo holds on a prefix of u.
-    S = np.minimum.accumulate(perims[::-1])[::-1]
-    lb = ((S[b_lo] + S[b_lo]) + S[(R - u + 1) // 2])[: np.count_nonzero(c_hi >= b_lo)]
-    best = (math.inf, ())  # (least score, first vector)
+    # One row (k_max = 2) needs no bound, and none at all (k_max = 1) leaves
+    # the single polygon as the result.
+    if k_max > 2:
+        S = np.minimum.accumulate(perims[::-1])[::-1]
+        m = float((perims[1:] / np.arange(1, R + 1)).min())
+        m = m if m >= 2.0**-1000 else 0.0
+        h = S[b_lo] if k_max == 4 else perims[u]
+        lb = np.maximum(
+            (S[b_lo] + S[b_lo]) + S[(R - u + 1) // 2], (h + m * (R - u)) * (1.0 - 2.0**-45)
+        )[: np.count_nonzero(c_hi >= b_lo)]
+    else:
+        lb = np.zeros(k_max - 1)
+    best = (float(perims[R]), (0, 0, 0, R))  # (least score, first vector)
     r0 = 0
     # a block of about _CHUNK cells is as wide as its first row; the row
     # widths c_hi - b_lo + 1 never rise, so later rows' extra columns are masked
@@ -399,7 +423,7 @@ def brute_force_min(
         r0 = rows[-1] + 1
 
     best_perimeter, best_units = best[0], tuple(p for p in best[1] if p)
-    if not best_units:
+    if best_perimeter == math.inf:
         raise DomainError(
             f"no valid partition of area {total} at resolution {resolution} in {geometry.kind}"
         )

@@ -9,6 +9,7 @@ import math
 from collections.abc import Callable
 
 import numpy as np
+import pytest
 
 # arccosh(3 + 2*sqrt(3)): side of the hyperbolic triangle with area pi/2
 SIDE_AREA_HALF_PI = 2.5533737367606908
@@ -63,6 +64,28 @@ def staged_scan_root(
         lo, hi = float(xs[flips[0]]), float(xs[flips[0] + 1])
         if hi - lo <= target_resolution:
             return 0.5 * (lo + hi)
+
+
+@pytest.fixture
+def scored_rows(monkeypatch):
+    """Row counts of the blocks brute_force_min scores, one entry per block.
+
+    Counted in the blocks' running minima, the search's only 2-D
+    np.minimum.accumulate; clear() the list between calls.
+    """
+    rows, minimum = [], np.minimum
+
+    class CountingMinimum:
+        def __getattr__(self, name):
+            return getattr(minimum, name)
+
+        def accumulate(self, array, axis=0):
+            if array.ndim == 2:
+                rows.append(array.shape[0])
+            return minimum.accumulate(array, axis=axis)
+
+    monkeypatch.setattr(np, "minimum", CountingMinimum())
+    return rows
 
 
 # Largest difference of two endpoint sums that still counts as one conserved sum.

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isoperim import (
@@ -675,28 +675,119 @@ def test_brute_force_row_bound_keeps_rows_that_tie(monkeypatch):
     assert (best.areas, p) == ((3.0, 4.0, 4.0), 12.0)
 
 
-def test_brute_force_skips_rows_that_cannot_win(monkeypatch):
-    # Flat squares, k_max = 3, R = 2000: the single square P[R] wins in row
-    # u = 0, and row u (a = 0, b = u <= c <= d) is scored only while its bound
-    # (P[u] + P[u]) + P[ceil((R - u)/2)] (P rises) does not exceed P[R]: a few
-    # dozen of the 667 rows. Rows are counted in the blocks' running minima.
-    R, scored, minimum = 2000, [], np.minimum
+@given(
+    k_max=st.integers(3, 4),
+    scale=st.sampled_from([0.1, 0.3, 1 / 3, 0.7, 1.1, math.pi, math.e, 1e-3 / 7, 123.456]),
+    nudges=st.lists(st.sampled_from([0, 1, -1]), min_size=24, max_size=24),
+    chunk=st.integers(13, 30),
+)
+@example(k_max=3, scale=1e-3 / 7, nudges=[0] * 5 + [-1] + [0] * 6 + [-1] + [0] * 11, chunk=13)
+@example(k_max=4, scale=1e-3 / 7, nudges=[0] * 5 + [-1] + [0] * 6 + [-1] + [0] * 11, chunk=13)
+@settings(deadline=None, max_examples=100)
+def test_brute_force_row_bound_margin(k_max, scale, nudges, chunk):
+    # Near-linear sides fl(s*u)*(1 + e*2**-52), e in {-1, 0, 1}, s not a power
+    # of two: every vector scores about s*R, so the line bound h + m*(R - u)
+    # lies within a few roundings of the scores, and only its margin keeps
+    # it below the ones that win. Small blocks bound nearly every row. The
+    # line without its margin drops a winning row only on rare tables; the
+    # examples hold one: at R = 13, (1, 6, 6) beats the single polygon by an
+    # ulp, and row u = 1's line, unshrunk, lies above both.
+    sides = np.array([0.0] + [(scale * u) * (1.0 + e * 2.0**-52) for u, e in enumerate(nudges, 1)])
 
-    class CountingMinimum:
-        def __getattr__(self, name):
-            return getattr(minimum, name)
+    def side(g, n, area, m=None):
+        return float(sides[int(area)]) if m is None else sides[area.astype(int)]
 
-        def accumulate(self, array, axis=0):
-            if array.ndim == 2:
-                scored.append(array.shape[0])
-            return minimum.accumulate(array, axis=axis)
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (configurations, geometry_module):
+            patch.setattr(module, "_side", side)
+        patch.setattr(configurations, "_CHUNK", chunk)
+        for resolution in range(1, 25):
+            assert_matches_reference(EUC, 4, float(resolution), k_max, resolution)
 
+
+def test_brute_force_row_bound_ignores_a_subnormal_slope(monkeypatch):
+    # Triangles of sides k * 5e-324, R = 9: P[i]/i is subnormal and rounds up
+    # by up to half the unit 5e-324, far more than the relative margin, so
+    # the line under the table is dropped there; only the bound (1) remains.
+    # Row u = 1 holds the winner (1, 4, 4) at 7.4e-323 (P[9] is 9e-323).
+    sides = np.array([0, 1, 6, 7, 2, 9, 9, 5, 25, 6]) * 5e-324
+    for module in (configurations, geometry_module):
+        monkeypatch.setattr(module, "_side", lambda g, n, area, m=None: sides[area.astype(int)])
+    best, p = brute_force_min(EUC, 3, 9.0, 3, 9)
+    assert (best.areas, p) == ((1.0, 4.0, 4.0), 7.4e-323)
+
+
+def row_bounds(P, k_max):
+    """The oracle's row bounds lb[u] for a perimeter table P, in floats (k_max 3 or 4)."""
+    R = len(P) - 1
+    S = list(itertools.accumulate(reversed(P), min))[::-1]
+    m = min(P[i] / i for i in range(1, R + 1))
+    bounds = []
+    for u in range((R // 3 if k_max == 3 else R // 2) + 1):
+        b0 = (u + 1) // 2 if k_max == 4 else u
+        if b0 > (R - u) // 2:
+            break
+        h = S[b0] if k_max == 4 else P[u]
+        line = (h + m * (R - u)) * (1.0 - 2.0**-45)
+        bounds.append(max((S[b0] + S[b0]) + S[(R - u + 1) // 2], line))
+    return bounds
+
+
+def rows_scored(P, k_max, best):
+    """Rows the oracle scores when `best` lies in row u = 0.
+
+    The best starts at P[R], the single polygon; the first block takes as
+    many of the rows whose bound does not exceed it as a block of row 0's
+    width holds, and after it only rows whose bound does not exceed `best`.
+    """
+    R = len(P) - 1
+    lb = row_bounds(P, k_max)
+    first = [u for u, x in enumerate(lb) if x <= P[R]][: configurations._CHUNK // (R // 2 + 1)]
+    return len(first) + sum(x <= best for x in lb[first[-1] + 1 :])
+
+
+def test_brute_force_skips_rows_that_cannot_win(scored_rows):
+    # Flat squares, R = 2000: the single square P[R] wins in row u = 0, and
+    # the line m*(R - u) under the table (P[i] >= m*i, m = P[R]/R as P is
+    # concave) puts every later row's bound above P[R]: one row is scored.
+    R = 2000
     P = [0.0] + [perimeter(RegularPolygon(EUC, 4, u * (1.0 / R))) for u in range(1, R + 1)]
-    expected = sum((P[u] + P[u]) + P[(R - u + 1) // 2] <= P[R] for u in range(R // 3 + 1))
-    monkeypatch.setattr(np, "minimum", CountingMinimum())
-    best, p = brute_force_min(EUC, 4, 1.0, 3, R)
-    assert (best.areas, p) == ((1.0,), P[R])
-    assert sum(scored) == expected < 50
+    for k_max in (3, 4):
+        scored_rows.clear()
+        best, p = brute_force_min(EUC, 4, 1.0, k_max, R)
+        assert (best.areas, p) == ((1.0,), P[R])
+        assert sum(scored_rows) == rows_scored(P, k_max, P[R]) == 1
+
+
+@pytest.mark.parametrize("k_max, expected", [(3, 8), (4, 772)])
+def test_brute_force_skips_rows_where_the_halves_win(scored_rows, k_max, expected):
+    # Hyperbolic triangles at interior angle 0.1, R = 2000: the equal halves
+    # win in row u = 0. The first block scores the 8 rows a block of row 0's
+    # 1001 cells holds; at k_max = 3 every later row's bound P[u] + m*(R - u)
+    # exceeds the halves' score, at k_max = 4 (prefix bound S[b0]) most do.
+    R, total = 2000, math.pi - 0.3
+    P = [0.0] + [perimeter(RegularPolygon(HYP, 3, u * (total / R))) for u in range(1, R + 1)]
+    best, p = brute_force_min(HYP, 3, total, k_max, R)
+    assert (best.areas, p) == ((1000 * (total / R),) * 2, P[1000] + P[1000])
+    assert sum(scored_rows) == rows_scored(P, k_max, p) == expected
+
+
+# brute_force_min at R = 2000, the same at k_max = 3 and 4, as float.hex of
+# the areas and the perimeter: the scalar reference reaches only R <= 40.
+FROZEN_FULL_RESOLUTION = [
+    (HYP, 3, math.pi - 0.3, ["0x1.6bb94edddc6b2p+0"] * 2, "0x1.c1a1776cfc7fbp+3"),
+    (EUC, 4, 1.0, ["0x1.0000000000000p+0"], "0x1.fffffffffffffp+1"),
+    (SPH, 3, math.pi / 2, ["0x1.921fb54442d18p+0"], "0x1.2d97c7f3321d1p+2"),
+    (HYP, 6, 4 * math.pi - 6 * 0.3, ["0x1.58861baaa937ep+2"] * 2, "0x1.7df9e544cbdc7p+4"),
+]
+
+
+@pytest.mark.parametrize("k_max", [3, 4])
+@pytest.mark.parametrize("geometry, n, total, areas, perimeter_hex", FROZEN_FULL_RESOLUTION)
+def test_brute_force_frozen_at_full_resolution(geometry, n, total, areas, perimeter_hex, k_max):
+    best, p = brute_force_min(geometry, n, total, k_max, 2000)
+    assert [a.hex() for a in best.areas] == areas
+    assert p.hex() == perimeter_hex
 
 
 def test_brute_force_working_memory():

@@ -12,6 +12,7 @@ from isoperim import (
     angle_from_area,
     area_bounds,
     area_from_angle,
+    assess_two_split,
     brute_force_min,
     critical_angle,
     half_side,
@@ -242,3 +243,22 @@ def test_area_bounds():
     assert area_bounds(EUC, 3) == (0.0, math.inf)
     assert area_bounds(SPH, 3) == (0.0, 2 * math.pi)
     assert area_bounds(HYP, 5) == (0.0, 3 * math.pi)
+
+
+# public entry points that take a geometry; each checks it through area_bounds
+GEOMETRY_ENTRIES = {
+    "RegularPolygon": lambda g: RegularPolygon(g, 4, 1.0).perimeter,
+    "assess_two_split": lambda g: assess_two_split(g, 4, 1.0),
+    "area_from_angle": lambda g: area_from_angle(g, 4, 1.0),
+    "brute_force_min": lambda g: brute_force_min(g, 3, 1.0, 2, 10),
+    "brute_force_min past the top": lambda g: brute_force_min(g, 3, 1e9, 2, 10),
+}
+
+
+@pytest.mark.parametrize("entry", GEOMETRY_ENTRIES)
+@pytest.mark.parametrize("geometry", ["euclidean", "hyperbolic", None, 0])
+def test_geometry_must_be_a_geometry(entry, geometry):
+    # a plane given by its name, or by nothing, is not the hyperbolic plane
+    with pytest.raises(DomainError) as info:
+        GEOMETRY_ENTRIES[entry](geometry)
+    assert str(info.value) == f"geometry must be a Geometry, got {geometry!r}"
