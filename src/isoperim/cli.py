@@ -143,6 +143,15 @@ def _maybe_radians(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
+def _parse(kind: type, text: str, what: str):
+    """kind(text), or a DomainError naming the argument `what` and the text."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise DomainError(f"{what} must be {noun}, got {text!r}") from None
+
+
 def _cmd_perim(args: argparse.Namespace) -> int:
     geometry = _geometry(args.geometry)
     if args.angle is not None:
@@ -201,7 +210,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
     if args.areas is None:
         assessment = assess_two_split(geometry, args.n, args.total_area)
     else:
-        areas = tuple(float(part) for part in args.areas.split(","))
+        areas = tuple(_parse(float, part, "each --areas part") for part in args.areas.split(","))
         parts_sum = reduce(add, areas)  # left to right, as total_area adds
         if abs(parts_sum - args.total_area) > 1e-9:
             raise DomainError(
@@ -239,8 +248,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     mode = modes[0]
 
     if mode == "h":
-        n = int(args.h[0])
-        c = _maybe_radians(float(args.h[1]), args.degrees)
+        n = _parse(int, args.h[0], "side count N of --h")
+        c = _maybe_radians(_parse(float, args.h[1], "angle sum C of --h"), args.degrees)
         params = SplitFunctionParams(n, c)
         lo, hi, check = params.lo, params.hi, partial(split_objective, params)
         inputs: dict = {"mode": "h", "n": n, "c": c}

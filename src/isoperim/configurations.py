@@ -10,7 +10,7 @@ angle; below it, the equal two-way split wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import accumulate
@@ -40,7 +40,8 @@ class Verdict(str, Enum):
     SPLIT_BEATS_SINGLE = "split_beats_single"
 
 
-@dataclass(frozen=True)
+# The records here fill __dict__ in their own __init__, as RegularPolygon does.
+@dataclass(frozen=True, init=False)
 class Configuration:
     """Disjoint regular n-gons in one geometry, tracked by their areas."""
 
@@ -48,13 +49,18 @@ class Configuration:
     n: int
     areas: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        areas = tuple(self.areas)
-        object.__setattr__(self, "areas", areas)
+    def __init__(self, geometry: Geometry, n: int, areas: tuple[float, ...]) -> None:
+        areas = tuple(areas)
         if len(areas) < 1:
             raise DomainError("configuration needs at least one polygon")
+        lo, hi = area_bounds(geometry, n)  # once, not per part
         for area in areas:
-            validate_area(self.geometry, self.n, area)
+            if not (area > lo and area < hi):  # NaN too: validate_area words the error
+                validate_area(geometry, n, area)
+        d = self.__dict__
+        d["geometry"] = geometry
+        d["n"] = n
+        d["areas"] = areas
 
     @property
     def k(self) -> int:
@@ -77,7 +83,7 @@ def total_perimeter(config: Configuration) -> float:
     return reduce(add, _part_perimeters(config))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MergeStep:
     """One pairwise comparison in a prefix-merge pass."""
 
@@ -85,8 +91,14 @@ class MergeStep:
     merged_area: float
     merged_perimeter: float
 
+    def __init__(self, pair_perimeter: float, merged_area: float, merged_perimeter: float) -> None:
+        d = self.__dict__
+        d["pair_perimeter"] = pair_perimeter
+        d["merged_area"] = merged_area
+        d["merged_perimeter"] = merged_perimeter
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class SplitAssessment:
     """Outcome of comparing a configuration against the single polygon.
 
@@ -103,8 +115,29 @@ class SplitAssessment:
     angle: float
     critical_angle: float | None = None
     witness: Configuration | None = None
-    merge_steps: tuple[MergeStep, ...] = field(default=())
+    merge_steps: tuple[MergeStep, ...] = ()
     part_perimeters: tuple[float, ...] = ()
+
+    def __init__(
+        self,
+        single_perimeter: float,
+        config_perimeter: float,
+        verdict: Verdict,
+        angle: float,
+        critical_angle: float | None = None,
+        witness: Configuration | None = None,
+        merge_steps: tuple[MergeStep, ...] = (),
+        part_perimeters: tuple[float, ...] = (),
+    ) -> None:
+        d = self.__dict__
+        d["single_perimeter"] = single_perimeter
+        d["config_perimeter"] = config_perimeter
+        d["verdict"] = verdict
+        d["angle"] = angle
+        d["critical_angle"] = critical_angle
+        d["witness"] = witness
+        d["merge_steps"] = merge_steps
+        d["part_perimeters"] = part_perimeters
 
 
 def _verdict(config_perimeter: float, single_perimeter: float) -> Verdict:
@@ -148,7 +181,7 @@ def assess_two_split(
     Flat and spherical splits always lose; theta1 is rejected there.
     """
     validate_area(geometry, n, total)
-    hyperbolic = geometry is Geometry.HYPERBOLIC
+    hyperbolic = geometry.curvature < 0
     if theta1 is not None and not hyperbolic:
         raise DomainError("theta1 applies only to hyperbolic splits")
     single_p = n * _side(geometry, n, total)
@@ -183,7 +216,7 @@ def merge_chain(config: Configuration) -> SplitAssessment:
     comparison. The verdict compares the configuration's total perimeter
     against the polygon holding the full area.
     """
-    if config.geometry is not Geometry.HYPERBOLIC:
+    if config.geometry.curvature >= 0:
         raise DomainError("merge chains are defined for hyperbolic configurations")
     return assess_configuration(config)
 
@@ -203,7 +236,7 @@ def assess_configuration(config: Configuration) -> SplitAssessment:
     parts = _part_perimeters(config)
     config_p = reduce(add, parts)
     steps, threshold, witness = (), None, None
-    if geometry is Geometry.HYPERBOLIC:
+    if geometry.curvature < 0:
         merged = parts[:1] + [n * _side(geometry, n, a) for a in merged_areas[1:]]
         steps = tuple([
             MergeStep(pair_perimeter=p + q, merged_area=a, merged_perimeter=m)
@@ -226,7 +259,7 @@ def assess_configuration(config: Configuration) -> SplitAssessment:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CounterexampleResult:
     """Two hyperbolic triangles against the thin triangle of their total area."""
 
@@ -235,6 +268,21 @@ class CounterexampleResult:
     split_perimeter: float
     single_perimeter: float
     margin: float
+
+    def __init__(
+        self,
+        config: Configuration,
+        single: RegularPolygon,
+        split_perimeter: float,
+        single_perimeter: float,
+        margin: float,
+    ) -> None:
+        d = self.__dict__
+        d["config"] = config
+        d["single"] = single
+        d["split_perimeter"] = split_perimeter
+        d["single_perimeter"] = single_perimeter
+        d["margin"] = margin
 
 
 def counterexample_triangles(epsilon: float) -> CounterexampleResult:

@@ -97,18 +97,19 @@ def area_from_angle(geometry: Geometry, n: int, angle: float) -> float:
     """
     lo, hi = area_bounds(geometry, n)
     flat = (n - 2) * math.pi / n
-    if geometry is Geometry.EUCLIDEAN:
+    k = geometry.curvature
+    if k == 0:
         raise DomainError("euclidean interior angle does not determine the area")
-    if geometry is Geometry.SPHERICAL and not flat < angle < math.pi:
+    if k > 0 and not flat < angle < math.pi:
         raise DomainError(
             f"spherical interior angle must lie in ({flat}, {math.pi}), got {angle}"
         )
-    if geometry is Geometry.HYPERBOLIC and not 0.0 < angle < flat:
+    if k < 0 and not 0.0 < angle < flat:
         raise DomainError(
             f"hyperbolic interior angle must lie in (0, {flat}), got {angle}"
         )
     top = (n - 2) * math.pi
-    area = n * angle - top if geometry is Geometry.SPHERICAL else top - n * angle
+    area = n * angle - top if k > 0 else top - n * angle
     if not lo < area < hi:
         raise DomainError(
             f"{geometry.kind} interior angle {angle} for n={n} rounds to area {area},"
@@ -117,7 +118,12 @@ def area_from_angle(geometry: Geometry, n: int, angle: float) -> float:
     return area
 
 
-@dataclass(frozen=True)
+# The records built on every decision call (this one and those of
+# configurations) write their fields into __dict__ in a hand-written
+# __init__: the generated one of a frozen dataclass sets each field through
+# object.__setattr__, about three times as slow. init=False keeps the rest of
+# the generated class: eq, hash, repr, match args and the frozen setattr.
+@dataclass(frozen=True, init=False)
 class RegularPolygon:
     """Regular n-gon identified by its ambient geometry, side count and area."""
 
@@ -125,8 +131,12 @@ class RegularPolygon:
     n: int
     area: float
 
-    def __post_init__(self) -> None:
-        validate_area(self.geometry, self.n, self.area)
+    def __init__(self, geometry: Geometry, n: int, area: float) -> None:
+        validate_area(geometry, n, area)
+        d = self.__dict__
+        d["geometry"] = geometry
+        d["n"] = n
+        d["area"] = area
 
     @property
     def angle(self) -> float:
@@ -213,7 +223,8 @@ def _side(geometry: Geometry, n: int, area, m=math):
     if m is math:
         return side
     # an array: each element takes the branch of its float call
-    return m.where(area < _TINY_AREA, _side(Geometry.EUCLIDEAN, n, area, m), side)
+    flat = math.sqrt(4.0 * math.tan(math.pi / n) / n) * m.sqrt(area)
+    return m.where(area < _TINY_AREA, flat, side)
 
 
 def perimeter(polygon: RegularPolygon) -> float:

@@ -377,6 +377,23 @@ def test_split_sum_mismatch(capsys):
     assert "sum" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "areas, text", [("9,,16", "''"), ("9,x", "'x'"), ("9,16,", "''"), ("0x1p3,16", "'0x1p3'")]
+)
+def test_split_area_that_is_not_a_number(capsys, areas, text):
+    # float() of the part raised a bare ValueError whose message named neither
+    # the argument nor, for an empty part, any text
+    code, out, err = run_cli(
+        capsys, "split", "euclidean", "4", "--total-area", "25", "--areas", areas
+    )
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    jsonschema.validate(error, ERROR_SCHEMA)
+    assert error["error"] == {
+        "type": "DomainError", "message": f"each --areas part must be a number, got {text}"
+    }
+
+
 def test_split_area_sum_is_left_to_right(capsys):
     # sum() of floats is compensated from Python 3.12 on and would print 0.6
     code, out, err = run_cli(
@@ -498,6 +515,11 @@ def test_scan_h_values_are_the_split_objective(capsys, n, where, degrees):
          "angle sum must lie in (1.0471975511965976, 2.0943951023931953), got 1.0471975511965976"),
         (("--h", "3", "2.0943941"),
          "scan domain (1.0471965488034025, 1.0471975511965976) is narrower than the standoff"),
+        # N and C are parsed in the handler, not by argparse: the error names them
+        (("--h", "3.5", "1.5"), "side count N of --h must be an integer, got '3.5'"),
+        (("--h", "", "1.5"), "side count N of --h must be an integer, got ''"),
+        (("--h", "3", "x"), "angle sum C of --h must be a number, got 'x'"),
+        (("--h", "3.5", "x"), "side count N of --h must be an integer, got '3.5'"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
 )
