@@ -10,6 +10,7 @@ angle; below it, the equal two-way split wins.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -317,14 +318,16 @@ def counterexample_triangles(epsilon: float) -> CounterexampleResult:
 def _elementwise(np) -> SimpleNamespace:
     """The math namespace of geometry._side for 1-D numpy arrays.
 
-    sin, asin and log1p run math's function on each element, since numpy's
-    own log1p and arcsin differ from math's in the last bit on some inputs;
-    sqrt is numpy's, correctly rounded like math's. Every element so keeps
-    the bits of the float call.
+    sin, asin and log1p run math's function on each element, read through a
+    memoryview (the same Python floats as tolist, without building a list),
+    since numpy's own log1p and arcsin differ from math's in the last bit on
+    some inputs and numpy picks its kernels by CPU; sqrt is numpy's,
+    correctly rounded like math's. Every element so keeps the bits of the
+    float call.
     """
 
     def each(fn):
-        return lambda x: np.fromiter(map(fn, x.tolist()), float, x.size)
+        return lambda x: np.fromiter(map(fn, memoryview(x)), float, x.size)
 
     return SimpleNamespace(
         sin=each(math.sin), asin=each(math.asin), log1p=each(math.log1p),
@@ -336,14 +339,15 @@ def _first_tie(perims, R, value, u, lo, c):
     """Lexicographically smallest (a, b, c, d) scoring `value` in the cells (u, c).
 
     The cell (u, c) holds a = u - b, lo <= b <= min(c, u), d = R - u - c;
-    each of its vectors is scored again with the reference's additions.
+    each of its vectors is scored again with the reference's additions, in
+    Python floats read one entry at a time: a tie holds few vectors.
     """
-    P = perims.tolist()
+    P = perims.item
     return min(
         (u - b, b, c, R - u - c)
         for u, lo, c in zip(u.tolist(), lo.tolist(), c.tolist())
         for b in range(lo, min(c, u) + 1)
-        if ((P[u - b] + P[b]) + P[c]) + P[R - u - c] == value
+        if ((P(u - b) + P(b)) + P(c)) + P(R - u - c) == value
     )
 
 
@@ -378,6 +382,7 @@ def brute_force_min(
             raise DomainError(f"{name} must be an integer, got {value!r}")
         if not low <= value <= top:
             raise DomainError(f"{name} must lie in [{low}, {top}], got {value}")
+    k_max, R = operator.index(k_max), operator.index(resolution)  # numpy integers to int
     if not total > 0.0:
         raise DomainError(f"total area must be positive, got {total}")
     lo, hi = area_bounds(geometry, n)  # checks n before the budget
@@ -394,7 +399,6 @@ def brute_force_min(
     # cells stand for R^3/144 vectors. A prefix above its cell's minimum
     # can still tie after rounding, so each tied cell's prefixes are scored
     # again (_first_tie).
-    R = resolution
     u = np.arange((0, 0, R // 3, R // 2)[k_max - 1] + 1)
     b_lo = (u + 1) // 2 if k_max == 4 else u  # below four parts, a = 0
     c_hi = (R - u) // 2 if k_max > 1 else u  # c <= d; k_max = 1: c = 0, d = R
@@ -403,15 +407,17 @@ def brute_force_min(
         raise ResourceError(f"{cells} cells exceed the budget of {max_evaluations}")
 
     unit = total / R
-    # k_max = 1 needs only u = R. 0 < u * unit < hi holds for an initial run
-    # of the unit counts u, so perims is finite exactly on first..finite.
-    first = R if k_max == 1 else 1
-    areas = np.arange(first, R + 1) * unit
-    finite = first - 1 + int(np.count_nonzero((lo < areas) & (areas < hi)))
+    if k_max == 1:  # the single polygon alone: the scalar kernel, no table
+        area = R * unit
+        p = float(n * _side(geometry, n, area)) if lo < area < hi else math.inf
+        return _grid_result(geometry, n, total, R, p, (area,))
+    # 0 < u * unit < hi holds for an initial run of the unit counts u, so
+    # perims is finite exactly on 1..finite.
+    areas = np.arange(1, R + 1) * unit
+    finite = int(np.count_nonzero((lo < areas) & (areas < hi)))
     perims = np.full(R + 1, np.inf)
     perims[0] = 0.0  # an absent part: 0 + p is p, so no sum changes
-    table = _side(geometry, n, areas[: finite + 1 - first], _elementwise(np))
-    perims[first : finite + 1] = n * table
+    perims[1 : finite + 1] = n * _side(geometry, n, areas[:finite], _elementwise(np))
 
     # No cell of row u scores below lb[u], the larger of two bounds; both need
     # only P >= 0 (and sums far from overflow: perimeters stay below 1e155).
@@ -432,8 +438,7 @@ def brute_force_min(
     # the best only falls, so it is skipped. The single polygon (0, 0, 0, R)
     # is the smallest vector of all, so the best starts there, at P[R].
     # lb ends at the last row with cells: c_hi >= b_lo holds on a prefix of u.
-    # One row (k_max = 2) needs no bound, and none at all (k_max = 1) leaves
-    # the single polygon as the result.
+    # One row (k_max = 2) needs no bound.
     if k_max > 2:
         S = np.minimum.accumulate(perims[::-1])[::-1]
         m = float((perims[1:] / np.arange(1, R + 1)).min())
@@ -443,7 +448,7 @@ def brute_force_min(
             (S[b_lo] + S[b_lo]) + S[(R - u + 1) // 2], (h + m * (R - u)) * (1.0 - 2.0**-45)
         )[: np.count_nonzero(c_hi >= b_lo)]
     else:
-        lb = np.zeros(k_max - 1)
+        lb = np.zeros(1)
     best = (float(perims[R]), (0, 0, 0, R))  # (least score, first vector)
     r0 = 0
     # a block of about _CHUNK cells is as wide as its first row; the row
@@ -470,13 +475,17 @@ def brute_force_min(
         del score, g, c  # before the next block is built
         r0 = rows[-1] + 1
 
-    best_perimeter, best_units = best[0], tuple(p for p in best[1] if p)
-    if best_perimeter == math.inf:
+    areas = tuple(units * unit for units in best[1] if units)
+    return _grid_result(geometry, n, total, R, best[0], areas)
+
+
+def _grid_result(geometry, n, total, R, perimeter, areas):
+    """brute_force_min's result, or its error when no candidate has a finite perimeter."""
+    if perimeter == math.inf:
         raise DomainError(
-            f"no valid partition of area {total} at resolution {resolution} in {geometry.kind}"
+            f"no valid partition of area {total} at resolution {R} in {geometry.kind}"
         )
-    best = Configuration(geometry, n, tuple(units * unit for units in best_units))
-    return best, best_perimeter
+    return Configuration(geometry, n, areas), perimeter
 
 
 __all__ = [

@@ -445,8 +445,16 @@ def test_brute_force_rejects_invalid_budgets(budget, message):
 
 
 def test_brute_force_accepts_numpy_integers():
-    expected = brute_force_min(EUC, 4, 1.0, 2, 10)
-    assert brute_force_min(EUC, 4, 1.0, np.int64(2), np.int32(10)) == expected
+    # the unit total / R stays a Python float, so no np.float64 reaches the result
+    for geometry, total in ((EUC, 1.0), (SPH, 1.0), (HYP, math.pi - 0.3)):
+        for k_max in range(1, 5):
+            expected = brute_force_min(geometry, 3, total, k_max, 10)
+            result = brute_force_min(geometry, 3, total, np.int64(k_max), np.int32(10))
+            assert result == expected
+            assert all(type(a) is float for a in result[0].areas)
+            assert type(result[1]) is float
+            assert repr(result) == repr(expected)
+            assert type(brute_force_min(geometry, np.int64(3), total, k_max, 10)[1]) is float
 
 
 def test_brute_force_euclidean_single_wins():
@@ -518,11 +526,45 @@ def test_brute_force_budget_checked_before_the_table(monkeypatch):
         raise AssertionError("perimeter table built before the budget check")
 
     monkeypatch.setattr(configurations, "_side", no_table)
+    with pytest.raises(ResourceError) as info:
+        brute_force_min(EUC, 4, 1.0, 1, 500, max_evaluations=0)
+    assert str(info.value) == "1 cells exceed the budget of 0"
     with pytest.raises(ResourceError):
         brute_force_min(EUC, 4, 1.0, 3, 500, max_evaluations=10)
     count = sum((500 - b) // 2 - b + 1 for b in range(500 // 3 + 1))  # 0 <= b <= c <= d
     with pytest.raises(ResourceError, match=f"{count} cells exceed"):
         brute_force_min(EUC, 4, 1.0, 3, 500, max_evaluations=count - 1)
+
+
+@pytest.mark.parametrize("geometry, n, total", [(EUC, 4, 37.5), (SPH, 3, 6.0), (HYP, 5, 9.0)])
+@pytest.mark.parametrize("resolution", [1, 7, 2000])
+def test_brute_force_single_part_is_the_scalar_perimeter(geometry, n, total, resolution):
+    # k_max = 1 is the polygon of all R units, bit for bit the scalar call's
+    # (== on positive finite floats compares every bit)
+    area = resolution * (total / resolution)
+    best, p = brute_force_min(geometry, n, total, 1, resolution)
+    assert (best.areas, p) == ((area,), RegularPolygon(geometry, n, area).perimeter)
+
+
+@pytest.mark.parametrize("geometry, n", [(EUC, 4), (SPH, 3), (HYP, 3), (HYP, 7)])
+@pytest.mark.parametrize("resolution", [1, 7, 2000])
+def test_brute_force_single_part_past_the_domain(geometry, n, resolution):
+    # at the top of the area interval (inf for the flat plane) and past it
+    hi = area_bounds(geometry, n)[1]
+    for total in (hi, math.nextafter(hi, math.inf), 2 * hi):
+        with pytest.raises(DomainError) as info:
+            brute_force_min(geometry, n, total, 1, resolution)
+        assert str(info.value) == (
+            f"no valid partition of area {total} at resolution {resolution} in {geometry.kind}"
+        )
+
+
+def test_brute_force_single_part_with_an_infinite_perimeter(monkeypatch):
+    # an area inside the interval whose perimeter is inf is no candidate either
+    for module in (configurations, geometry_module):
+        monkeypatch.setattr(module, "_side", lambda g, n, area, m=None: math.inf)
+    with pytest.raises(DomainError, match="no valid partition of area 1.0 at resolution 7"):
+        brute_force_min(EUC, 4, 1.0, 1, 7)
 
 
 def _left_to_right(values):

@@ -239,6 +239,39 @@ def test_side_of_an_array_keeps_the_bits_of_floats(geometry, log_n, fractions):
     assert [v.hex() for v in table.tolist()] == expected
 
 
+def _oracle_areas(geometry, n, R):
+    # the admissible unit multiples of a total just below the top, as brute_force_min forms them
+    hi = area_bounds(geometry, n)[1]
+    areas = np.arange(1, R + 1) * (min(math.nextafter(hi, 0.0), 50.0) / R)
+    return areas[(0.0 < areas) & (areas < hi)]
+
+
+@pytest.mark.parametrize("geometry", list(Geometry))
+@pytest.mark.parametrize("n", [3, 7, 1000])
+@pytest.mark.parametrize(
+    "view",
+    [
+        pytest.param(lambda a: a[:0], id="empty"),
+        pytest.param(lambda a: a[::3], id="strided"),
+        pytest.param(lambda a: a, id="R=2000"),
+    ],
+)
+def test_side_of_an_array_keeps_the_bits_of_floats_on_every_shape(geometry, n, view):
+    # the elementwise passes read their array through a memoryview: an
+    # empty array, a strided view and a full oracle table give the float calls' bits
+    table_areas = _oracle_areas(geometry, n, 2000)
+    assert table_areas.size == 2000
+    areas = view(table_areas)
+    expected = [_side(geometry, n, a).hex() for a in areas.tolist()]
+    table = _side(geometry, n, areas, _elementwise(np))
+    assert [v.hex() for v in table.tolist()] == expected
+    # and each pass on such a view itself, not only on the arrays _side derives from it
+    ns, unit_range = _elementwise(np), view(np.linspace(-1.0, 1.0, 2000))
+    for fn, x in ((math.sin, areas), (math.log1p, areas), (math.asin, unit_range)):
+        values = getattr(ns, fn.__name__)(x).tolist()
+        assert [v.hex() for v in values] == [fn(v).hex() for v in x.tolist()]
+
+
 def test_area_bounds():
     assert area_bounds(EUC, 3) == (0.0, math.inf)
     assert area_bounds(SPH, 3) == (0.0, 2 * math.pi)
