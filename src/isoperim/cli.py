@@ -18,19 +18,8 @@ from collections.abc import Iterable, Sequence
 from functools import partial, reduce
 from operator import add
 
-from .analysis import (
-    SplitFunctionParams,
-    _margin_terms,
-    equal_split_margin,
-    half_side,
-    split_objective,
-)
-from .configurations import (
-    Configuration,
-    assess_configuration,
-    assess_two_split,
-    counterexample_triangles,
-)
+# Every command uses errors and geometry; each handler imports the other
+# modules it calls, so a call loads only what its command needs.
 from .errors import BracketError, ConvergenceError, DomainError
 from .geometry import (
     MAX_SIDES,
@@ -41,7 +30,6 @@ from .geometry import (
     area_from_angle,
     side_length,
 )
-from .threshold import critical_angle
 
 SCHEMA_VERSION = "1"
 
@@ -171,12 +159,13 @@ def _cmd_perim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _theta_row(n: int) -> tuple[int, float, float, float]:
-    res = critical_angle(n)
-    return n, res.critical_angle, res.inflection, res.max_area
+def _theta_row(res) -> tuple[int, float, float, float]:
+    return res.n, res.critical_angle, res.inflection, res.max_area
 
 
 def _cmd_theta(args: argparse.Namespace) -> int:
+    from .threshold import critical_angle
+
     if (args.n is None) == (args.range is None):
         raise DomainError("provide either a single side count or --range LO HI")
     if args.range is not None:
@@ -185,7 +174,7 @@ def _cmd_theta(args: argparse.Namespace) -> int:
             raise DomainError(
                 f"range must satisfy 3 <= LO <= HI <= {MAX_SIDES}, got {lo}, {hi}"
             )
-        rows = [_theta_row(n) for n in range(lo, hi + 1)]
+        rows = [_theta_row(critical_angle(n)) for n in range(lo, hi + 1)]
         if args.format == "json":
             _emit_record("theta", {"range": [lo, hi]}, {"rows": [list(r) for r in rows]})
             return 0
@@ -199,12 +188,14 @@ def _cmd_theta(args: argparse.Namespace) -> int:
         )
         return 0
     else:
-        rows = [_theta_row(args.n)]
+        rows = [_theta_row(critical_angle(args.n))]
     _emit_csv(("n", "theta", "x0", "max_area"), rows)
     return 0
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
+    from .configurations import Configuration, assess_configuration, assess_two_split
+
     geometry = _geometry(args.geometry)
     inputs: dict = {"geometry": geometry.kind, "n": args.n, "total_area": args.total_area}
     if args.areas is None:
@@ -242,6 +233,10 @@ def _scan_grid(lo: float, hi: float) -> list[float]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from .analysis import (
+        SplitFunctionParams, _margin_terms, equal_split_margin, half_side, split_objective,
+    )
+
     modes = [m for m in ("phi", "g", "h") if getattr(args, m) is not None]
     if len(modes) != 1:
         raise DomainError("choose exactly one of --phi, --g or --h")
@@ -278,6 +273,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
+    from .configurations import counterexample_triangles
+
     epsilon = _maybe_radians(args.epsilon, args.degrees)
     result = counterexample_triangles(epsilon)
     _emit_record(

@@ -385,6 +385,7 @@ def brute_force_min(
     k_max, R = operator.index(k_max), operator.index(resolution)  # numpy integers to int
     if not total > 0.0:
         raise DomainError(f"total area must be positive, got {total}")
+    total = float(total)  # a numpy float would make every area a numpy scalar
     lo, hi = area_bounds(geometry, n)  # checks n before the budget
 
     # Every candidate is a sorted vector 0 <= a <= b <= c <= d summing to R,

@@ -457,6 +457,22 @@ def test_brute_force_accepts_numpy_integers():
             assert type(brute_force_min(geometry, np.int64(3), total, k_max, 10)[1]) is float
 
 
+def test_brute_force_accepts_a_numpy_float_total():
+    # the total becomes a Python float, so every area and the perimeter are floats
+    for geometry, total in ((EUC, 1.0), (SPH, 1.0), (HYP, math.pi - 0.3)):
+        for k_max in range(1, 5):
+            expected = brute_force_min(geometry, 3, total, k_max, 10)
+            result = brute_force_min(geometry, 3, np.float64(total), k_max, 10)
+            assert all(type(a) is float for a in result[0].areas)
+            assert type(result[1]) is float
+            assert repr(result) == repr(expected)
+    # the errors still print the caller's value, whose str is the float's
+    with pytest.raises(DomainError, match=r"^no valid partition of area 20\.0 at resolution 2 in spherical$"):
+        brute_force_min(SPH, 3, np.float64(20.0), 1, 2)
+    with pytest.raises(DomainError, match=r"^total area must be positive, got -1\.0$"):
+        brute_force_min(SPH, 3, np.float64(-1.0), 1, 2)
+
+
 def test_brute_force_euclidean_single_wins():
     best, p = brute_force_min(EUC, 4, 1.0, 3, 500)
     assert best.k == 1
