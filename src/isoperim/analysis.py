@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .geometry import _check_sides, _half_side
+from .geometry import _check_sides, _flat, _half_side
 
 _SQRT2 = math.sqrt(2.0)
 _FLOOR_EPS = 4.0 * sys.float_info.epsilon
@@ -24,7 +24,7 @@ _FLOOR_EPS = 4.0 * sys.float_info.epsilon
 def _require_angle(n: int, x: float) -> None:
     """Raise DomainError unless x lies in (0, (n-2)*pi/n), the hyperbolic angles."""
     _check_sides(n)
-    hi = (n - 2) * math.pi / n
+    hi = _flat(n)
     if not 0.0 < x < hi:
         raise DomainError(f"angle must lie in the open interval (0.0, {hi}), got {x}")
 
@@ -42,7 +42,7 @@ class SplitFunctionParams:
 
     def __post_init__(self) -> None:
         _check_sides(self.n)
-        flat = (self.n - 2) * math.pi / self.n
+        flat = _flat(self.n)
         if not flat < self.c < 2.0 * flat:
             raise DomainError(
                 f"angle sum must lie in ({flat}, {2.0 * flat}), got {self.c}"
@@ -50,11 +50,11 @@ class SplitFunctionParams:
 
     @property
     def lo(self) -> float:
-        return self.c - (self.n - 2) * math.pi / self.n
+        return self.c - _flat(self.n)
 
     @property
     def hi(self) -> float:
-        return (self.n - 2) * math.pi / self.n
+        return _flat(self.n)
 
     def require(self, x: float) -> None:
         if not self.lo < x < self.hi:
@@ -96,22 +96,17 @@ def _half_side_d1(n: int, x: float) -> float:
     return -(math.cos(math.pi / n) / _SQRT2) * (1.0 / math.tan(x / 2.0)) / math.sqrt(d)
 
 
-def _require_spherical_angle(n: int, x: float) -> None:
-    """Raise DomainError unless x lies in [(n-2)*pi/n, pi], the spherical kernel's domain."""
-    _check_sides(n)
-    flat = (n - 2) * math.pi / n
-    if not flat <= x <= math.pi:
-        raise DomainError(f"angle must lie in [{flat}, {math.pi}], got {x}")
-
-
 def spherical_half_side(n: int, x: float) -> float:
     """Spherical half side arccos(cos(pi/n)/sin(x/2)); the degenerate angle is allowed.
 
     Its error grows like ulp(x)/(x - flat) next to the flat angle, where the
-    rounding of the flat angle itself dominates.
+    rounding of the flat angle itself dominates. Its domain is [flat, pi].
     """
-    _require_spherical_angle(n, x)
-    return _half_side(n, x, 0.5 * (x - (n - 2) * math.pi / n), 1)
+    _check_sides(n)
+    flat = _flat(n)
+    if not flat <= x <= math.pi:
+        raise DomainError(f"angle must lie in [{flat}, {math.pi}], got {x}")
+    return _half_side(n, x, 0.5 * (x - flat), 1)
 
 
 def split_objective(params: SplitFunctionParams, x: float) -> float:
@@ -131,7 +126,7 @@ def equal_split_margin(n: int, x: float) -> float:
     """
     _require_angle(n, x)
     # next to the flat angle the inner angle can round onto it, where the margin's sign is lost
-    flat = (n - 2) * math.pi / n
+    flat = _flat(n)
     if not _inner_angle(n, x) < flat:
         raise DomainError(
             f"angle {x} is too close to the flat angle {flat}: "

@@ -26,6 +26,7 @@ from .geometry import (
     Geometry,
     RegularPolygon,
     _check_sides,
+    _flat,
     _half_side,
     area_from_angle,
     side_length,
@@ -251,7 +252,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     else:
         n = getattr(args, mode)
         _check_sides(n)
-        lo, hi = 0.0, (n - 2) * math.pi / n
+        lo, hi = 0.0, _flat(n)
         check = partial(equal_split_margin if mode == "phi" else half_side, n)
         inputs = {"mode": mode, "n": n}
     xs = _scan_grid(lo, hi)

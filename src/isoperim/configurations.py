@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 from .analysis import SplitFunctionParams, split_objective
 from .errors import ConvergenceError, DomainError, ResourceError
-from .geometry import Geometry, RegularPolygon, _angle, _side, area_bounds, validate_area
+from .geometry import Geometry, RegularPolygon, _angle, _flat, _side, area_bounds, validate_area
 from .threshold import critical_angle
 
 # Perimeter differences smaller than this are reported as ties rather than
@@ -104,9 +104,9 @@ class SplitAssessment:
     """Outcome of comparing a configuration against the single polygon.
 
     `verdict` reflects the sign of config_perimeter - single_perimeter at
-    tolerance TIE_TOL. `witness` carries a configuration that strictly beats
-    the single polygon whenever one is known (the equal two-way split, in
-    the hyperbolic sub-threshold regime). `critical_angle` is None for the
+    tolerance TIE_TOL. In the hyperbolic plane `witness` is the equal two-way
+    split whenever that split's own verdict is split_beats_single, and None
+    otherwise; the other planes have none. `critical_angle` is None for the
     geometries without a threshold; `part_perimeters` is empty for a two-split.
     """
 
@@ -158,15 +158,6 @@ def euclidean_pythagoras_check(a1: float, a2: float, n: int) -> tuple[float, flo
     return p1, p2, p
 
 
-def _equal_split_witness(
-    geometry: Geometry, n: int, half: float, p: float, single_perimeter: float
-) -> Configuration | None:
-    # the half goes unchecked: one that rounds to 0 has perimeter p = 0 and never wins
-    if p + p < single_perimeter - TIE_TOL:
-        return Configuration(geometry, n, (half, half))
-    return None
-
-
 def assess_two_split(
     geometry: Geometry,
     n: int,
@@ -182,31 +173,22 @@ def assess_two_split(
     Flat and spherical splits always lose; theta1 is rejected there.
     """
     validate_area(geometry, n, total)
+    total = float(total)  # after the check, whose text prints the caller's value
     hyperbolic = geometry.curvature < 0
     if theta1 is not None and not hyperbolic:
         raise DomainError("theta1 applies only to hyperbolic splits")
     single_p = n * _side(geometry, n, total)
     angle = _angle(geometry, n, total)
-    flat = (n - 2) * math.pi / n
+    flat = _flat(n)
     half = total / 2.0
     # a hyperbolic angle sum that rounds onto 2*flat leaves no split angle
     if not (angle + flat < 2.0 * flat if hyperbolic else half > 0.0):
         raise DomainError(f"total area {total} is too small to split for {geometry.kind} n={n}")
     p = n * _side(geometry, n, half)
-    config_p, threshold, witness = p + p, None, None
-    if hyperbolic:
-        if theta1 is not None:
-            config_p = 2.0 * n * split_objective(SplitFunctionParams(n, angle + flat), theta1)
-        threshold = critical_angle(n).critical_angle
-        witness = _equal_split_witness(geometry, n, half, p, single_p)
-    return SplitAssessment(
-        single_perimeter=single_p,
-        config_perimeter=config_p,
-        verdict=_verdict(config_p, single_p),
-        angle=angle,
-        critical_angle=threshold,
-        witness=witness,
-    )
+    config_p = p + p
+    if theta1 is not None:
+        config_p = 2.0 * n * split_objective(SplitFunctionParams(n, angle + flat), theta1)
+    return _assessment(geometry, n, total, angle, p, single_p, config_p)
 
 
 def merge_chain(config: Configuration) -> SplitAssessment:
@@ -232,32 +214,46 @@ def assess_configuration(config: Configuration) -> SplitAssessment:
     """
     geometry, n = config.geometry, config.n
     merged_areas = list(accumulate(config.areas))  # left to right: the last is total_area
-    total = merged_areas[-1]
-    validate_area(geometry, n, total)  # the merged areas rise to it: this checks them all
+    validate_area(geometry, n, merged_areas[-1])  # the merged areas rise to it: checks them all
+    total = float(merged_areas[-1])  # the areas and merge steps keep the caller's numbers
     parts = _part_perimeters(config)
-    config_p = reduce(add, parts)
-    steps, threshold, witness = (), None, None
+    steps, half_p = (), None
     if geometry.curvature < 0:
         merged = parts[:1] + [n * _side(geometry, n, a) for a in merged_areas[1:]]
         steps = tuple([
             MergeStep(pair_perimeter=p + q, merged_area=a, merged_perimeter=m)
             for p, q, a, m in zip(merged, parts[1:], merged_areas[1:], merged[1:])
         ])
-        single_p, half = merged[-1], total / 2.0
-        threshold = critical_angle(n).critical_angle
-        witness = _equal_split_witness(geometry, n, half, n * _side(geometry, n, half), single_p)
+        single_p, half_p = merged[-1], n * _side(geometry, n, total / 2.0)
     else:
         single_p = n * _side(geometry, n, total)
-    return SplitAssessment(
-        single_perimeter=single_p,
-        config_perimeter=config_p,
-        verdict=_verdict(config_p, single_p),
-        angle=_angle(geometry, n, total),
-        critical_angle=threshold,
-        witness=witness,
-        merge_steps=steps,
-        part_perimeters=tuple(parts),
+    return _assessment(
+        geometry, n, total, _angle(geometry, n, total), half_p, single_p, reduce(add, parts),
+        steps, tuple(parts),
     )
+
+
+def _assessment(
+    geometry: Geometry, n: int, total: float, angle: float, p: float | None,
+    single_p: float, config_p: float, steps: tuple[MergeStep, ...] = (),
+    parts: tuple[float, ...] = (),
+) -> SplitAssessment:
+    """The verdict of config_p against single_p, the single polygon of area `total`.
+
+    A hyperbolic one carries the critical angle, and the equal two-way split
+    (halves of perimeter p) as its witness exactly when _verdict has it win.
+    """
+    verdict = _verdict(config_p, single_p)
+    threshold = witness = None
+    if geometry.curvature < 0:
+        threshold = critical_angle(n).critical_angle
+        # the equal split's verdict (reused when it is the configuration); a half that
+        # rounds to 0 has p = 0, next to a single polygon far shorter than TIE_TOL
+        halves = verdict if config_p == p + p else _verdict(p + p, single_p)
+        if halves is Verdict.SPLIT_BEATS_SINGLE:
+            half = total / 2.0
+            witness = Configuration(geometry, n, (half, half))
+    return SplitAssessment(single_p, config_p, verdict, angle, threshold, witness, steps, parts)
 
 
 @dataclass(frozen=True, init=False)

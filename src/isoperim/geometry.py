@@ -84,9 +84,18 @@ def angle_from_area(geometry: Geometry, n: int, area: float) -> float:
     return _angle(geometry, n, area)
 
 
+# Gauss-Bonnet, n * angle = (n-2)*pi + K * area: the only module that forms it
+def _flat(n: int) -> float:
+    return (n - 2) * math.pi / n  # the interior angle of the flat n-gon
+
+
 def _angle(geometry: Geometry, n: int, area):
-    # Gauss-Bonnet: n * angle = (n-2)*pi + K * area
     return ((n - 2) * math.pi + geometry.curvature * area) / n
+
+
+def _area(geometry: Geometry, n: int, angle: float) -> float:
+    top = (n - 2) * math.pi  # a curved plane's area; area_from_angle without its checks
+    return n * angle - top if geometry.curvature > 0 else top - n * angle
 
 
 def area_from_angle(geometry: Geometry, n: int, angle: float) -> float:
@@ -96,7 +105,7 @@ def area_from_angle(geometry: Geometry, n: int, angle: float) -> float:
     of area_bounds is a DomainError too.
     """
     lo, hi = area_bounds(geometry, n)
-    flat = (n - 2) * math.pi / n
+    flat = _flat(n)
     k = geometry.curvature
     if k == 0:
         raise DomainError("euclidean interior angle does not determine the area")
@@ -108,8 +117,7 @@ def area_from_angle(geometry: Geometry, n: int, angle: float) -> float:
         raise DomainError(
             f"hyperbolic interior angle must lie in (0, {flat}), got {angle}"
         )
-    top = (n - 2) * math.pi
-    area = n * angle - top if k > 0 else top - n * angle
+    area = _area(geometry, n, angle)
     if not lo < area < hi:
         raise DomainError(
             f"{geometry.kind} interior angle {angle} for n={n} rounds to area {area},"

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .analysis import _margin_terms
 from .errors import BracketError, ConvergenceError
-from .geometry import _check_sides
+from .geometry import Geometry, _area, _check_sides
 
 MAX_ITERATIONS = 200
 WIDTH_TOL = 1e-15
@@ -131,12 +131,11 @@ def critical_angle(n: int) -> ThresholdResult:
             f"critical-angle residual {residual} exceeds {RESIDUAL_TOL} for n={n}",
             n=n, bracket=(lo, x0), residual=residual,
         )
-    max_area = (n - 2) * math.pi - n * root
     return ThresholdResult(
         n=n,
         critical_angle=root,
         inflection=x0,
-        max_area=max_area,
+        max_area=_area(Geometry.HYPERBOLIC, n, root),
         iterations=iterations,
         residual=residual,
     )

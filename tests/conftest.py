@@ -6,6 +6,7 @@ library output against them at stated tolerances.
 """
 
 import math
+import re
 from collections.abc import Callable
 
 import numpy as np
@@ -32,6 +33,11 @@ CE_MARGIN = 3.8785471723766736
 
 # equal two-way split of the area with interior angle 0.1 (n = 3)
 EQ_SPLIT_PERIM_THETA_01 = 14.050960266937173
+
+
+def full_text(message: str) -> str:
+    """A pytest.raises match pattern that admits `message` and nothing else."""
+    return "^" + re.escape(message) + "$"
 
 
 def sign_changes(values) -> list[int]:

@@ -27,6 +27,7 @@ from conftest import (
     HALF_SIDE_4_PI4,
     central_difference,
     check_concave_split,
+    full_text,
     half_side_d2,
     half_side_d3,
     sign_changes,
@@ -80,16 +81,19 @@ def test_half_side_strictly_decreasing():
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+HALF_SIDE_DOMAIN_3 = "angle must lie in the open interval (0.0, 1.0471975511965976), got "
+
+
 @pytest.mark.parametrize("bad_x", [0.0, -0.1])
 def test_half_side_domain_lower(bad_x):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=full_text(HALF_SIDE_DOMAIN_3 + str(bad_x))):
         half_side(3, bad_x)
 
 
 def test_half_side_domain_upper():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=full_text(HALF_SIDE_DOMAIN_3 + "1.0471975511965976")):
         half_side(3, domain_hi(3))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=full_text(HALF_SIDE_DOMAIN_3 + "10.0")):
         half_side(3, 10.0)
 
 
@@ -156,9 +160,10 @@ def test_spherical_kernel_values():
 def test_spherical_kernel_domain_is_closed():
     flat = math.pi / 3
     assert spherical_half_side(3, flat) == 0.0
-    with pytest.raises(DomainError):
+    domain = "angle must lie in [1.0471975511965976, 3.141592653589793], got "
+    with pytest.raises(DomainError, match=full_text(domain + "1.0471975501965975")):
         spherical_half_side(3, flat - 1e-9)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=full_text(domain + "3.141592654589793")):
         spherical_half_side(3, math.pi + 1e-9)
 
 
@@ -225,11 +230,14 @@ def test_split_objective_boundary_limit():
 
 def test_split_objective_domain():
     p = params_for(3, 0.5)
-    with pytest.raises(DomainError):
+    split = "split angle must lie in the open interval (0.5, 1.0471975511965976), got "
+    with pytest.raises(DomainError, match=full_text(split + "0.5")):
         split_objective(p, p.lo)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=full_text(split + "1.0471975511965976")):
         split_objective(p, p.hi)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=full_text(
+        "angle sum must lie in (1.0471975511965976, 2.0943951023931953), got 1.0471975511965976"
+    )):
         SplitFunctionParams(3, math.pi / 3)  # angle sum at the excluded boundary
 
 

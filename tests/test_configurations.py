@@ -220,6 +220,42 @@ def test_assess_rejects_total_too_small_to_split(n, total):
         assess_two_split(HYP, n, total)
 
 
+def test_witness_follows_the_verdict_rule(monkeypatch):
+    # a single polygon of perimeter 3.0 and an equal split of 2p = fl(3.0 - TIE_TOL),
+    # which rounds down: 2p - 3.0 = -1.0000000827e-09 is a win for the split
+    halves = float.fromhex("0x1.7ffffffdda3e8p+1")
+    assert halves == 3.0 - configurations.TIE_TOL
+    assert 3.0 - halves > configurations.TIE_TOL
+    sides = {2.5: 3.0 / 4, 1.25: halves / 8, 1.0: 1.0, 1.5: 1.0}
+    monkeypatch.setattr(configurations, "_side", lambda g, n, area, m=None: sides[area])
+    witness = Configuration(HYP, 4, (1.25, 1.25))
+    res = assess_two_split(HYP, 4, 2.5)
+    assert (res.verdict, res.witness) == (Verdict.SPLIT_BEATS_SINGLE, witness)
+    res = assess_configuration(witness)
+    assert (res.verdict, res.witness) == (Verdict.SPLIT_BEATS_SINGLE, witness)
+    # a configuration that loses still names the equal split that wins
+    res = assess_configuration(Configuration(HYP, 4, (1.0, 1.5)))
+    assert (res.verdict, res.witness) == (Verdict.SINGLE_OPTIMAL_STRICT, witness)
+
+
+@pytest.mark.parametrize("geometry, n, total", [(EUC, 4, 2.0), (SPH, 3, 1.0), (HYP, 3, 2.9)])
+def test_a_numpy_float_total_gives_float_fields(geometry, n, total):
+    # the total becomes a float after the area check; Configuration.areas and
+    # MergeStep.merged_area keep the caller's numbers
+    parts = (0.4 * total, 0.6 * total)
+    two_split = assess_two_split(geometry, n, np.float64(total))
+    assert repr(two_split) == repr(assess_two_split(geometry, n, total))
+    config = assess_configuration(Configuration(geometry, n, tuple(map(np.float64, parts))))
+    assert config == assess_configuration(Configuration(geometry, n, parts))
+    for res in (two_split, config):
+        floats = [res.single_perimeter, res.config_perimeter, res.angle, *res.part_perimeters]
+        floats += [x for s in res.merge_steps for x in (s.pair_perimeter, s.merged_perimeter)]
+        if geometry is HYP:
+            floats += [res.critical_angle, *res.witness.areas]
+        assert all(type(x) is float for x in floats)
+    assert len(floats) == (10 if geometry is HYP else 5)
+
+
 def test_verdict_consistent_with_sign():
     rng = random.Random(42)
     for _ in range(100):
@@ -881,7 +917,7 @@ def _reference_witness(geometry, n, total, single_p):
     half = total / 2.0
     if half > 0.0:  # a half that rounds to 0 never wins
         p = _polygon_perimeter(geometry, n, half)
-        if p + p < single_p - configurations.TIE_TOL:
+        if configurations._verdict(p + p, single_p) is Verdict.SPLIT_BEATS_SINGLE:
             return Configuration(geometry, n, (half, half))
     return None
 

@@ -22,7 +22,7 @@ from isoperim import (
 from isoperim.configurations import _elementwise
 from isoperim.geometry import _side
 
-from conftest import SIDE_AREA_HALF_PI
+from conftest import SIDE_AREA_HALF_PI, full_text
 
 EUC = Geometry.EUCLIDEAN
 SPH = Geometry.SPHERICAL
@@ -55,12 +55,22 @@ def test_area_from_angle_inverse():
 
 def test_area_from_angle_rejects_boundary():
     # for n=4 the flat angle pi/2 is the excluded spherical lower boundary
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=full_text(
+        "spherical interior angle must lie in (1.5707963267948966, 3.141592653589793),"
+        " got 1.5707963267948966"
+    )):
         area_from_angle(SPH, 4, math.pi / 2)
+    # and the excluded hyperbolic upper boundary
+    with pytest.raises(DomainError, match=full_text(
+        "hyperbolic interior angle must lie in (0, 1.5707963267948966), got 1.5707963267948966"
+    )):
+        area_from_angle(HYP, 4, math.pi / 2)
 
 
 def test_area_from_angle_rejects_euclidean():
-    with pytest.raises(DomainError):
+    with pytest.raises(
+        DomainError, match=full_text("euclidean interior angle does not determine the area")
+    ):
         area_from_angle(EUC, 4, 1.5)
 
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from isoperim import (
     BracketError,
     ConvergenceError,
+    Geometry,
+    area_from_angle,
     critical_angle,
     equal_split_margin,
     inflection_point,
@@ -189,6 +191,7 @@ def test_threshold_result_invariants(n):
     assert abs(equal_split_margin(n, res.critical_angle)) <= 1e-10
     # exact construction identity
     assert res.max_area == (n - 2) * math.pi - n * res.critical_angle
+    assert res.max_area == area_from_angle(Geometry.HYPERBOLIC, n, res.critical_angle)
     assert res.max_area < (n - 2) * math.pi
     assert res.iterations <= 200
 
