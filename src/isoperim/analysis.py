@@ -67,8 +67,11 @@ def half_side(n: int, x: float) -> float:
     """Hyperbolic half side length arccosh(cos(pi/n)/sin(x/2)) at interior angle x.
 
     The kernel is geometry._half_side: it forms cos(pi/n)/sin(x/2) - 1 as a
-    product of sines, which keeps its relative accuracy as x approaches the
-    flat angle, and takes arccosh(1 + delta) as log1p(delta + sqrt(delta*(delta+2))).
+    product of sines and takes arccosh(1 + delta) as
+    log1p(delta + sqrt(delta*(delta+2))). Its error grows like
+    ulp(x)/(flat - x) next to the flat angle, where the rounding of the
+    terms of the deficit pi/n - (pi - x)/2 dominates; an ulp below the
+    flat angle that deficit can cancel to 0, and the half side with it.
     """
     _require_angle(n, x)
     return _half_side(n, x)

@@ -20,7 +20,7 @@ from operator import add
 
 # Every command uses errors and geometry; each handler imports the other
 # modules it calls, so a call loads only what its command needs.
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import ArgumentError, BracketError, ConvergenceError, DomainError
 from .geometry import (
     MAX_SIDES,
     Geometry,
@@ -82,12 +82,13 @@ def _assert_finite(value: object) -> None:
             _assert_finite(v)
 
 
-def _emit_record(
+def _record(
     command: str,
     inputs: dict,
     results: dict,
     diagnostics: dict | None = None,
-) -> None:
+) -> str:
+    """One JSON output record and its newline; non-finite numbers raise ConvergenceError."""
     record: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -101,7 +102,7 @@ def _emit_record(
     except ValueError:
         _assert_finite(record)  # names the non-finite value
         raise
-    print(text)
+    return text + "\n"
 
 
 def _emit_error(command: str, exc: Exception) -> None:
@@ -113,10 +114,10 @@ def _emit_error(command: str, exc: Exception) -> None:
     print(json.dumps(record, separators=(",", ":")), file=sys.stderr)
 
 
-def _emit_csv(header: Sequence[str], rows: Iterable[tuple]) -> None:
+def _csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
     # rows hold floats and ints only, and repr(int) is str(int)
     row = ",".join(["%r"] * len(header)) + "\n"
-    sys.stdout.write(",".join(header) + "\n" + "".join(map(row.__mod__, rows)))
+    return ",".join(header) + "\n" + "".join(map(row.__mod__, rows))
 
 
 def _geometry(name: str) -> Geometry:
@@ -141,7 +142,7 @@ def _parse(kind: type, text: str, what: str):
         raise DomainError(f"{what} must be {noun}, got {text!r}") from None
 
 
-def _cmd_perim(args: argparse.Namespace) -> int:
+def _cmd_perim(args: argparse.Namespace) -> str:
     geometry = _geometry(args.geometry)
     if args.angle is not None:
         angle = _maybe_radians(args.angle, args.degrees)
@@ -152,19 +153,14 @@ def _cmd_perim(args: argparse.Namespace) -> int:
         inputs = {"geometry": geometry.kind, "n": args.n, "area": area}
     polygon = RegularPolygon(geometry, args.n, area)
     side = side_length(polygon)
-    _emit_record(
+    return _record(
         "perim",
         inputs,
         {"area": polygon.area, "angle": polygon.angle, "side": side, "perimeter": args.n * side},
     )
-    return 0
 
 
-def _theta_row(res) -> tuple[int, float, float, float]:
-    return res.n, res.critical_angle, res.inflection, res.max_area
-
-
-def _cmd_theta(args: argparse.Namespace) -> int:
+def _cmd_theta(args: argparse.Namespace) -> str:
     from .threshold import critical_angle
 
     if (args.n is None) == (args.range is None):
@@ -175,27 +171,27 @@ def _cmd_theta(args: argparse.Namespace) -> int:
             raise DomainError(
                 f"range must satisfy 3 <= LO <= HI <= {MAX_SIDES}, got {lo}, {hi}"
             )
-        rows = [_theta_row(critical_angle(n)) for n in range(lo, hi + 1)]
-        if args.format == "json":
-            _emit_record("theta", {"range": [lo, hi]}, {"rows": [list(r) for r in rows]})
-            return 0
     elif args.format != "csv":  # one side count defaults to JSON, a range to CSV
         res = critical_angle(args.n)
-        _emit_record(
+        return _record(
             "theta",
             {"n": args.n},
             {"theta": res.critical_angle, "x0": res.inflection, "max_area": res.max_area},
             {"iterations": res.iterations, "residual": res.residual},
         )
-        return 0
     else:
-        rows = [_theta_row(critical_angle(args.n))]
-    _emit_csv(("n", "theta", "x0", "max_area"), rows)
-    return 0
+        lo = hi = args.n
+    rows = [(r.n, r.critical_angle, r.inflection, r.max_area)
+            for r in map(critical_angle, range(lo, hi + 1))]
+    if args.format == "json":
+        return _record("theta", {"range": [lo, hi]}, {"rows": [list(r) for r in rows]})
+    return _csv(("n", "theta", "x0", "max_area"), rows)
 
 
-def _cmd_split(args: argparse.Namespace) -> int:
-    from .configurations import Configuration, assess_configuration, assess_two_split
+def _cmd_split(args: argparse.Namespace) -> str:
+    from .configurations import (
+        Configuration, Verdict, _verdict, assess_configuration, assess_two_split,
+    )
 
     geometry = _geometry(args.geometry)
     inputs: dict = {"geometry": geometry.kind, "n": args.n, "total_area": args.total_area}
@@ -204,8 +200,8 @@ def _cmd_split(args: argparse.Namespace) -> int:
     else:
         areas = tuple(_parse(float, part, "each --areas part") for part in args.areas.split(","))
         parts_sum = reduce(add, areas)  # left to right, as total_area adds
-        if abs(parts_sum - args.total_area) > 1e-9:
-            raise DomainError(
+        if _verdict(parts_sum, args.total_area) is not Verdict.TIE:  # NaN is no tie
+            raise ArgumentError(
                 f"areas sum to {parts_sum}, expected {args.total_area} within 1e-9"
             )
         inputs["areas"] = list(areas)
@@ -220,8 +216,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
         results["part_perimeters"] = list(assessment.part_perimeters)
     if assessment.witness is not None:
         results["witness_areas"] = list(assessment.witness.areas)
-    _emit_record("split", inputs, results)
-    return 0
+    return _record("split", inputs, results)
 
 
 def _scan_grid(lo: float, hi: float) -> list[float]:
@@ -233,7 +228,7 @@ def _scan_grid(lo: float, hi: float) -> list[float]:
     return [start + i * step for i in range(SCAN_SAMPLES - 1)] + [stop]
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> str:
     from .analysis import (
         SplitFunctionParams, _margin_terms, equal_split_margin, half_side, split_objective,
     )
@@ -267,18 +262,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         values = [_half_side(n, x) for x in xs]
 
     if args.format == "json":
-        _emit_record("scan", inputs, {"x": xs, "value": values})
-    else:
-        _emit_csv(("x", "value"), zip(xs, values))
-    return 0
+        return _record("scan", inputs, {"x": xs, "value": values})
+    return _csv(("x", "value"), zip(xs, values))
 
 
-def _cmd_counterexample(args: argparse.Namespace) -> int:
+def _cmd_counterexample(args: argparse.Namespace) -> str:
     from .configurations import counterexample_triangles
 
     epsilon = _maybe_radians(args.epsilon, args.degrees)
     result = counterexample_triangles(epsilon)
-    _emit_record(
+    return _record(
         "counterexample",
         {"epsilon": epsilon},
         {
@@ -289,7 +282,6 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
             "single_area": result.single.area,
         },
     )
-    return 0
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -361,7 +353,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        sys.stdout.write(_HANDLERS[args.command](args))
+        return 0
     except BrokenPipeError:
         # downstream consumer (e.g. head) closed the stream; not an error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

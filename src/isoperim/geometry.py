@@ -178,7 +178,7 @@ def _half_side(n: int, x, d=None, curvature: int = -1, m=math):
 
     With a = pi/n, h = (pi - x)/2 and d = a - h = (x - flat)/2, the ratio
     cos(a)/sin(x/2) is 1 - D for D = 2*sin((h + a)/2)*sin(d/2)/sin(x/2), a
-    product that keeps its relative accuracy as x approaches the flat angle.
+    product that keeps d's relative accuracy as x approaches the flat angle.
     The hyperbolic half side (curvature -1) is arccosh(1 + delta) =
     log1p(delta + sqrt(delta*(delta + 2))) with delta = -D; the spherical one
     (curvature 1) is arccos(1 - D) = 2*asin(sqrt(D/2)).

@@ -25,8 +25,6 @@ from .geometry import Geometry, _area, _check_sides
 MAX_ITERATIONS = 200
 WIDTH_TOL = 1e-15
 RESIDUAL_TOL = 1e-10
-# A Newton step at most this many ulps long means the iterate is converged.
-STEP_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -58,9 +56,8 @@ def _bisect(
     the midpoint; after that, when the slope at the latest iterate is
     nonzero and its Newton step lands strictly inside the bracket, its
     target is the next iterate, and otherwise the midpoint is. Stops once
-    |value| <= floor, the bracket is at most WIDTH_TOL wide, or the Newton
-    step is at most STEP_ULPS ulps long. With slope 0.0 this is plain
-    bisection.
+    |value| <= floor or the bracket is at most WIDTH_TOL wide. With slope
+    0.0 this is plain bisection.
     """
     flo = f(lo)[0] if flo is None else flo
     if flo == 0.0:
@@ -82,12 +79,8 @@ def _bisect(
         else:
             hi = x
         x_next = 0.5 * (lo + hi)
-        if slope != 0.0 and math.isfinite(slope):
-            step = fx / slope
-            if abs(step) <= STEP_ULPS * math.ulp(x):
-                return x, i, abs(fx)
-            if lo < x - step < hi:
-                x_next = x - step
+        if slope != 0.0 and math.isfinite(slope) and lo < (target := x - fx / slope) < hi:
+            x_next = target
         x = x_next
     raise ConvergenceError(
         f"bisection did not converge in {MAX_ITERATIONS} iterations",

@@ -11,6 +11,8 @@ import mpmath as mp
 import pytest
 
 from isoperim import (
+    BracketError,
+    ConvergenceError,
     DomainError,
     Geometry,
     RegularPolygon,
@@ -25,6 +27,7 @@ from isoperim import (
     split_objective,
 )
 from isoperim import cli, configurations
+from isoperim import threshold
 from isoperim.cli import ERROR_SCHEMA, OUTPUT_SCHEMA, build_parser, main
 
 from conftest import CE_MARGIN, THETA_3, X0_3, sign_changes
@@ -138,6 +141,17 @@ def test_perim_euclidean_huge_area(capsys):
     assert record_of(out)["results"]["perimeter"] == pytest.approx(float(expected), rel=1e-15)
 
 
+def test_non_finite_output_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "side_length", lambda polygon: math.inf)
+    code, out, err = run_cli(capsys, "perim", "euclidean", "4", "--area", "1")
+    assert (code, out) == (3, "")
+    error = json.loads(err)
+    jsonschema.validate(error, ERROR_SCHEMA)
+    assert error["error"] == {
+        "type": "ConvergenceError", "message": "non-finite value inf in output"
+    }
+
+
 def test_perim_unknown_geometry(capsys):
     code, _, err = run_cli(capsys, "perim", "elliptic", "4", "--area", "1")
     assert code == 2
@@ -201,6 +215,23 @@ def test_theta_rejects_small_n(capsys):
 def test_theta_needs_exactly_one_mode(capsys):
     assert run_cli(capsys, "theta")[0] == 2
     assert run_cli(capsys, "theta", "4", "--range", "3", "5")[0] == 2
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, BracketError])
+def test_theta_solver_failure_exits_3(capsys, monkeypatch, error):
+    def fail(n):
+        raise error(f"solve failed for n={n}", n=n, bracket=(0.1, 0.2), residual=1e-3)
+
+    monkeypatch.setattr(threshold, "critical_angle", fail)
+    code, out, err = run_cli(capsys, "theta", "3")
+    assert (code, out) == (3, "")
+    record = json.loads(err)
+    jsonschema.validate(record, ERROR_SCHEMA)
+    assert record == {
+        "schema_version": "1",
+        "command": "theta",
+        "error": {"type": error.__name__, "message": "solve failed for n=3"},
+    }
 
 
 def test_theta_single_csv_format(capsys):
@@ -392,6 +423,30 @@ def test_split_area_that_is_not_a_number(capsys, areas, text):
     assert error["error"] == {
         "type": "DomainError", "message": f"each --areas part must be a number, got {text}"
     }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["euclidean", "4", "--total-area", "25", "--areas", "9,15"],
+         "areas sum to 24.0, expected 25.0 within 1e-9"),
+        # |sum - nan| > 1e-9 is False: a NaN total passed the check and was
+        # reported as non-convergence (exit 3) once it reached the JSON writer
+        (["euclidean", "4", "--total-area", "nan", "--areas", "9,16"],
+         "areas sum to 25.0, expected nan within 1e-9"),
+        (["hyperbolic", "3", "--total-area", "nan", "--areas", "0.5,0.7"],
+         "areas sum to 1.2, expected nan within 1e-9"),
+        (["euclidean", "4", "--total-area", "inf", "--areas", "9,inf"],
+         "areas sum to inf, expected inf within 1e-9"),
+    ],
+)
+def test_split_sum_mismatch_is_an_argument_error(capsys, argv, message):
+    # the parts contradict --total-area, which need not lie outside any domain
+    code, out, err = run_cli(capsys, "split", *argv)
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    jsonschema.validate(error, ERROR_SCHEMA)
+    assert error["error"] == {"type": "ArgumentError", "message": message}
 
 
 def test_split_area_sum_is_left_to_right(capsys):

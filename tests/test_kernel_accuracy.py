@@ -137,6 +137,21 @@ def test_spherical_half_side_next_to_the_flat_angle():
     assert _rel(spherical_half_side(n, x), _mp_half_side(1, n, d, x)) <= 1e-7
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 2(a): the angle path forms d = pi/n - (pi - x)/2 in rounded terms, "
+    "which cancel to 0 one ulp below the flat angle; it needs the exact-pi flat angle",
+)
+@pytest.mark.parametrize("n", [28, 655, 1418])
+def test_half_side_one_ulp_below_the_flat_angle(n):
+    # x lies below both the rounded and the exact flat angle (d < 0), yet
+    # half_side returns 0.0 (mpmath at n = 28: 3.5795e-9). With x - flat
+    # formed from exact-pi parts d, and so the half side, keeps a few ulps.
+    x = math.nextafter((n - 2) * math.pi / n, 0.0)
+    d = (mp.mpf(x) - _exact_flat(n)) / 2
+    assert _rel(half_side(n, x), _mp_half_side(-1, n, d, x)) <= 16 * EPS
+
+
 @pytest.mark.parametrize("n", [3, 1000, 10**6])
 @pytest.mark.parametrize("x", [1e-150, 1e-160, 1e-300, 1e-310, 5e-324])
 def test_half_side_at_tiny_angles(n, x):

@@ -58,6 +58,10 @@ def test_bisect_root_at_endpoint():
     assert _bisect(lambda x: (x, 0.0, 1e-10), 0.0, 1.0)[0] == 0.0
 
 
+def test_bisect_root_at_upper_endpoint():
+    assert _bisect(lambda x: (x - 1.0, 0.0, 1e-10), 0.0, 1.0) == (1.0, 0, 0.0)
+
+
 def test_bisect_exhausts_iterations():
     # a sign step on an interval too wide to collapse within the budget
     step = lambda x: 1.0 if x >= 1.0 else -1.0
