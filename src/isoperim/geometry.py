@@ -40,15 +40,16 @@ class Geometry(Enum):
         return self.value
 
 
-def _check_sides(n: int) -> None:
+def _check_sides(n: int) -> int:
     try:
-        operator.index(n)  # an int or a numpy integer; no float, not even 3.0
+        index = operator.index(n)  # an int or a numpy integer; no float, not even 3.0
     except TypeError:
         raise DomainError(f"side count must be an integer, got {n!r}") from None
     if n < 3:
         raise DomainError(f"side count must be >= 3, got {n}")
     if n > MAX_SIDES:
         raise DomainError(f"side count must be <= {MAX_SIDES}, got {n}")
+    return index  # a builtin int, so that no numpy scalar reaches a result
 
 
 def area_bounds(geometry: Geometry, n: int) -> tuple[float, float]:
@@ -143,7 +144,7 @@ class RegularPolygon:
         validate_area(geometry, n, area)
         d = self.__dict__
         d["geometry"] = geometry
-        d["n"] = n
+        d["n"] = operator.index(n)  # a builtin int, so that no numpy scalar leaks into results
         d["area"] = area
 
     @property

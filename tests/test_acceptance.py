@@ -244,3 +244,19 @@ def test_criterion_8_closed_form_values():
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report(8, elapsed, 1.0, "closed-form pair values reproduced within 1e-9")
+
+
+def test_criterion_9_max_area_asymptote():
+    # Observed here, not derived: max_area(n) approaches
+    # 4*pi**(1/3)*n**(2/3) - 4*pi from above, with a remainder that falls
+    # like n**(-2/3) (read 0.0832, 0.0180, 0.0039 and 0.00084 at 10**3..10**6)
+    start = time.perf_counter()
+    rest = [
+        critical_angle(n).max_area - (4.0 * math.pi ** (1 / 3) * n ** (2 / 3) - 4.0 * math.pi)
+        for n in (10**3, 10**4, 10**5, 10**6)
+    ]
+    assert 0.0 < rest[0] < 0.1
+    assert all(0.0 < later <= earlier / 4.0 for earlier, later in zip(rest, rest[1:]))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    _report(9, elapsed, 1.0, "max_area - (4 pi^(1/3) n^(2/3) - 4 pi) falls 4x per decade to 1e6")

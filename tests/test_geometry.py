@@ -16,6 +16,7 @@ from isoperim import (
     brute_force_min,
     critical_angle,
     half_side,
+    inflection_point,
     perimeter,
     side_length,
 )
@@ -200,6 +201,17 @@ def test_side_count_must_be_an_integer(entry, n):
 @pytest.mark.parametrize("entry", SIDE_COUNT_ENTRIES)
 def test_side_count_accepts_numpy_integers(entry):
     assert SIDE_COUNT_ENTRIES[entry](np.int64(5)) == SIDE_COUNT_ENTRIES[entry](5)
+
+
+def test_numpy_side_count_gives_builtin_numbers():
+    polygon = RegularPolygon(HYP, np.int64(5), 1.0)
+    assert type(polygon.n) is int and type(polygon.perimeter) is float
+    assert type(inflection_point(np.int64(5))) is float
+    res = critical_angle(np.int64(5))
+    assert type(res.n) is int
+    assert all(type(v) is float for v in (res.critical_angle, res.inflection, res.max_area))
+    # the typed cache still keeps np.int64(5) apart from 5, with equal results
+    assert res is not critical_angle(5) and res == critical_angle(5)
 
 
 @pytest.mark.parametrize(

@@ -50,16 +50,17 @@ ALL = [
 EVERY_COMMAND = {"isoperim", "isoperim.cli", "isoperim.errors", "isoperim.geometry"}
 
 # Each README command, the package modules it loads, and the length and
-# SHA-256 of its stdout as the eagerly importing package printed it.
+# SHA-256 of its stdout as the eagerly importing package printed it; the two
+# theta commands as the solve in the deficit variable prints them.
 README_COMMANDS = [
     ("perim hyperbolic 3 --area 1.5707963267948966", set(), 228,
      "6f4549320d1f2b13862f7a07eb4ec49cb9d0300b09fa8c24af648df964fffc23"),
     ("perim spherical 3 --angle 90 --degrees", set(), 229,
      "263b3f59ea882b179016ce764a304301129108d5f203763a185799d3ba208f81"),
     ("theta 3", {"analysis", "threshold"}, 198,
-     "ca4469d29be2d74efa09129814417d10cf8a9a64a3328907e1dfcccdd87712fd"),
-    ("theta --range 3 50", {"analysis", "threshold"}, 2837,
-     "2e40cadab27b4fbe03dfecf37b28f21842e2d0ca8f50fe88b5140953d082e3c4"),
+     "3f1166c76ad8ec933349f83ba9904d7d549c99b39125b057041b61994fb4c54e"),
+    ("theta --range 3 50", {"analysis", "threshold"}, 2831,
+     "fe786210e2aadd5e0d931976b8f4d5a45bdc038a43d42dd7be1d9dcef0b900b4"),
     ("split euclidean 4 --total-area 25 --areas 9,16",
      {"analysis", "configurations", "threshold"}, 298,
      "832f0db0774741e9a20987b68bbcd63f3d08f885c927e8c6c92f8303bda437df"),

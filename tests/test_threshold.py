@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -93,29 +95,70 @@ def test_solver_errors_carry_n_bracket_and_residual(monkeypatch):
     assert info.value.n is None and lo < 1.0 <= hi and info.value.residual == 1.0
 
     x0 = inflection_point(3)
+    flat = domain_hi(3)
     critical_angle.cache_clear()
     monkeypatch.setattr(threshold, "RESIDUAL_TOL", -1.0)
     with pytest.raises(ConvergenceError) as info:
         critical_angle(3)
     err = info.value
-    assert err.n == 3 and err.bracket[0] < THETA_3 < err.bracket[1] == x0
+    # the bracket is in the deficit t = flat - x: [flat - x0, flat)
+    assert err.n == 3 and err.bracket == (flat - x0, flat)
+    assert err.bracket[0] < flat - THETA_3 < err.bracket[1]
     assert err.residual >= 0.0
     assert str(err) == f"critical-angle residual {err.residual} exceeds -1.0 for n=3"
     monkeypatch.undo()
 
-    monkeypatch.setattr(threshold, "_margin_terms", lambda n, x, with_slope=True: (1.0, 0.0, 0.0))
+    # a margin that never turns negative closes the bracket onto its open
+    # end, which is never evaluated (the true margin is -inf there)
+    flat4 = domain_hi(4)
+
+    def never_negative(n, x, with_slope=True, t=None):
+        assert t < flat4
+        return 1.0, 0.0, 0.0
+
+    monkeypatch.setattr(threshold, "_margin_terms", never_negative)
     with pytest.raises(BracketError) as info:
         critical_angle(4)
     err = info.value
-    assert err.n == 4 and err.bracket[0] < 1e-15 and err.bracket[1] == inflection_point(4)
-    assert err.residual is None
-    assert str(err) == "margin never negative above 1e-15 for n=4"
+    lo = math.nextafter(flat4, 0.0)
+    assert (err.n, err.bracket, err.residual) == (4, (lo, flat4), 1.0)
+    assert str(err).startswith(f"no root within the floor on [{lo}, {flat4}] after ")
+    assert str(err).endswith(" iterations: f=1.0 and -inf")
 
-    monkeypatch.setattr(threshold, "_margin_terms", lambda n, x, with_slope=True: (-1.0, 0.0, 0.0))
+    monkeypatch.setattr(
+        threshold, "_margin_terms", lambda n, x, with_slope=True, t=None: (-1.0, 0.0, 0.0)
+    )
     with pytest.raises(BracketError) as info:
         critical_angle(5)
     assert (info.value.n, info.value.bracket, info.value.residual) == (5, None, None)
     assert str(info.value) == "margin not positive at the inflection point for n=5"
+
+
+def test_bisect_raises_when_the_bracket_closes():
+    # a sign step at 1.0 with no value within the floor: the bracket closes to
+    # two adjacent floats, and no iterate lands on an end
+    step = lambda x: (1.0 if x >= 1.0 else -1.0, 0.0, 0.0)  # noqa: E731
+    with pytest.raises(ConvergenceError) as info:
+        _bisect(step, 0.0, 2.0, n=7)
+    err = info.value
+    assert (err.n, err.bracket, err.residual) == (7, (math.nextafter(1.0, 0.0), 1.0), 1.0)
+    assert str(err) == (
+        "no root within the floor on [0.9999999999999999, 1.0] after 54 iterations:"
+        " f=-1.0 and 1.0"
+    )
+
+
+def test_bisect_first_iterate_inside_the_bracket_only():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x - 1.0, 1.0, 0.0
+
+    assert _bisect(f, 0.0, 4.0, first=1.0) == (1.0, 1, 0.0)
+    seen.clear()
+    _bisect(f, 0.0, 4.0, first=5.0)  # outside: the midpoint instead
+    assert seen[:3] == [0.0, 4.0, 2.0]
 
 
 # ------------------------------------------------------- inflection point
@@ -193,9 +236,12 @@ def test_threshold_result_invariants(n):
     assert 0.0 < res.critical_angle < res.inflection < domain_hi(n)
     assert res.residual <= 1e-10
     assert abs(equal_split_margin(n, res.critical_angle)) <= 1e-10
-    # exact construction identity
-    assert res.max_area == (n - 2) * math.pi - n * res.critical_angle
-    assert res.max_area == area_from_angle(Geometry.HYPERBOLIC, n, res.critical_angle)
+    # max_area is n*t, not formed from the angle: the two agree within
+    # max_area's stated bound
+    own = (n - 2) * math.pi - n * res.critical_angle
+    assert res.max_area == pytest.approx(own, rel=AREA_REL_TOL, abs=0.0)
+    own = area_from_angle(Geometry.HYPERBOLIC, n, res.critical_angle)
+    assert res.max_area == pytest.approx(own, rel=AREA_REL_TOL, abs=0.0)
     assert res.max_area < (n - 2) * math.pi
     assert res.iterations <= 200
 
@@ -205,6 +251,12 @@ def test_margin_sign_flips_at_critical_angle(n):
     theta = critical_angle(n).critical_angle
     assert equal_split_margin(n, theta - 1e-4) < 0.0
     assert equal_split_margin(n, theta + 1e-4) > 0.0
+
+
+def test_readme_quotes_theta_3():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    quoted = re.search(r"res\.critical_angle +# (\S+)", readme).group(1)
+    assert quoted == repr(critical_angle(3).critical_angle)
 
 
 def test_memoized_results_are_identical():
@@ -217,8 +269,8 @@ def test_memoized_results_are_identical():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_scan_oracle_agreement(n):
-    # independent staged exhaustive scan down to 1e-9 cells over the same
-    # bracket construction (halving descent from the inflection point)
+    # independent staged exhaustive scan down to 1e-9 cells, in x, over a
+    # bracket found by halving down from the inflection point
     x0 = inflection_point(n)
     lo = x0 / 2.0
     while not equal_split_margin(n, lo) < 0.0:
@@ -236,19 +288,22 @@ def test_large_side_count():
 
 
 def test_iteration_count_bound():
-    # the Newton steps on the closed-form derivative need at most 20
-    # iterations where bisection needs about 51
+    # started from the asymptote, the Newton steps in t took at most 7
+    # iterations for n in [3, 10**6] (at n = 3, 4, 6 and 7); bisection needs
+    # about 51
     worst = max(critical_angle(n).iterations for n in range(3, 2001))
-    assert worst <= 20
+    assert worst <= 7
 
 
-# Iterations with the stop at the margin's rounding floor. A solve that ran
-# on to the bracket-width limit took 13, 18, 24 and 22.
-@pytest.mark.parametrize("n, bound", [(1000, 7), (158489, 13), (501187, 12), (10**6, 12)])
+# Iterations with the stop at the t-form margin's rounding floor, from the
+# asymptote's start.
+@pytest.mark.parametrize("n, bound", [(1000, 3), (158489, 2), (501187, 2), (10**6, 2)])
 def test_solve_stops_at_rounding_floor(n, bound):
     res = critical_angle(n)
     assert res.iterations <= bound
-    assert res.residual <= threshold._margin_terms(n, res.critical_angle)[2]
+    t = res.max_area / n  # within an ulp of the solve's t; the floor is smooth in t
+    flat = domain_hi(n)
+    assert res.residual <= threshold._margin_terms(n, flat - t, True, t)[2]
 
 
 def mp_margin(n: int, x: mp.mpf) -> mp.mpf:
@@ -256,23 +311,46 @@ def mp_margin(n: int, x: mp.mpf) -> mp.mpf:
     return 2 * mp_half_side(n, x / 2 + mp.pi / 2 - mp.pi / n) - mp_half_side(n, x)
 
 
-# Measured worst case 8.9e-13 over about 2600 sampled n, near n = 10^6,
-# where rounding the margin's inner angle to a double sets the limit.
-THETA_REL_TOL = 2e-12
+# Measured worst cases over every n in [3, 10^6], against mpmath: 4.8e-14
+# for theta (at n = 680172) and 2.2e-12 for max_area (at n = 680172). Both
+# are the margin's rounding noise over its slope in t; max_area = n*t keeps
+# t's relative error, which no cancellation against (n - 2)*pi inflates.
+THETA_REL_TOL = 1e-13
+AREA_REL_TOL = 2.5e-12
+
+
+def mp_root(n: int, theta: float) -> mp.mpf:
+    """The exact margin's root next to theta, at the working precision."""
+    # a sign change of the exact margin 1e-9 around theta proves a root
+    # there; the margin has no other root below the inflection point
+    lo, hi = mp.mpf(theta) * (1 - mp.mpf(1e-9)), mp.mpf(theta) * (1 + mp.mpf(1e-9))
+    assert mp_margin(n, lo) < 0 < mp_margin(n, hi)
+    return mp.findroot(lambda x: mp_margin(n, x), (lo, hi), solver="anderson")
 
 
 @given(log_n=st.floats(min_value=math.log(3), max_value=math.log(10**6)))
 @example(log_n=math.log(125304))
 @example(log_n=math.log(501187))
+@example(log_n=math.log(680172))
 @example(log_n=math.log(10**6))
 @settings(deadline=None, max_examples=60)
 def test_critical_angle_matches_high_precision_root(log_n):
     n = min(max(round(math.exp(log_n)), 3), 10**6)
     theta = critical_angle(n).critical_angle
     with mp.workdps(40):
-        # a sign change of the exact margin 1e-9 around theta proves a root
-        # there; the margin has no other root below the inflection point
-        lo, hi = mp.mpf(theta) * (1 - mp.mpf(1e-9)), mp.mpf(theta) * (1 + mp.mpf(1e-9))
-        assert mp_margin(n, lo) < 0 < mp_margin(n, hi)
-        root = mp.findroot(lambda x: mp_margin(n, x), (lo, hi), solver="anderson")
+        root = mp_root(n, theta)
         assert abs((theta - root) / root) <= THETA_REL_TOL
+
+
+@given(log_n=st.floats(min_value=math.log(3), max_value=math.log(10**6)))
+@example(log_n=math.log(599885))
+@example(log_n=math.log(667986))
+@example(log_n=math.log(680172))
+@example(log_n=math.log(10**6))
+@settings(deadline=None, max_examples=60)
+def test_max_area_matches_high_precision_root(log_n):
+    n = min(max(round(math.exp(log_n)), 3), 10**6)
+    res = critical_angle(n)
+    with mp.workdps(40):
+        area = (n - 2) * mp.pi - n * mp_root(n, res.critical_angle)
+        assert abs((res.max_area - area) / area) <= AREA_REL_TOL
