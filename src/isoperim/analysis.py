@@ -135,7 +135,7 @@ def equal_split_margin(n: int, x: float) -> float:
             f"angle {x} is too close to the flat angle {flat}: "
             "the equal split's inner angle rounds onto it"
         )
-    return _margin_terms(n, x, with_slope=False)[0]
+    return _margin_terms(n, x)[0]
 
 
 def _inner_angle(n: int, x: float) -> float:
@@ -143,20 +143,22 @@ def _inner_angle(n: int, x: float) -> float:
     return x / 2.0 + math.pi / 2.0 - math.pi / n
 
 
-def _margin_terms(n: int, x: float, with_slope: bool = True, t=None) -> tuple[float, float, float]:
-    """Equal-split margin at x, its slope (0.0 unless with_slope) and its rounding floor.
+def _margin_terms(n: int, x: float, t=None) -> tuple[float, float]:
+    """Equal-split margin at x and its rounding floor.
 
     Given the deficit t = flat - x, the half sides take their deficits from
-    it (-t/2 at x, -t/4 at the inner angle x + t/2), and the slope is the one
-    in t, K'(x) - K'(inner). No domain check. The floor 4*eps*(2K(inner) + K(x))
-    bounds the rounding error of the margin's two terms (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., ch. 1-3), so a margin within it is zero.
+    it (-t/2 at x, -t/4 at the inner angle x + t/2). No domain check. The
+    floor 4*eps*(2K(inner) + K(x)) bounds the rounding error of the margin's
+    two terms (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., ch. 1-3), so a margin within it is zero.
     """
     if t is None:
-        inner = _inner_angle(n, x)
-        outer, k = 2.0 * _half_side(n, inner), _half_side(n, x)
+        outer, k = 2.0 * _half_side(n, _inner_angle(n, x)), _half_side(n, x)
     else:
-        inner = x + 0.5 * t
-        outer, k = 2.0 * _half_side(n, inner, -0.25 * t), _half_side(n, x, -0.5 * t)
-    slope = _half_side_d1(n, inner) - _half_side_d1(n, x) if with_slope else 0.0
-    return outer - k, slope if t is None else -slope, _FLOOR_EPS * (outer + k)
+        outer, k = 2.0 * _half_side(n, x + 0.5 * t, -0.25 * t), _half_side(n, x, -0.5 * t)
+    return outer - k, _FLOOR_EPS * (outer + k)
+
+
+def _margin_slope(n: int, x: float, t: float) -> float:
+    """Slope in the deficit t = flat - x of the equal-split margin, K'(x) - K'(x + t/2)."""
+    return _half_side_d1(n, x) - _half_side_d1(n, x + 0.5 * t)

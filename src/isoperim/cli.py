@@ -257,7 +257,7 @@ def _cmd_scan(args: argparse.Namespace) -> str:
     if mode == "h":
         values = [_half_side(n, x) + _half_side(n, c - x) for x in xs]
     elif mode == "phi":
-        values = [_margin_terms(n, x, False)[0] for x in xs]
+        values = [_margin_terms(n, x)[0] for x in xs]
     else:
         values = [_half_side(n, x) for x in xs]
 

@@ -20,7 +20,9 @@ from types import SimpleNamespace
 
 from .analysis import SplitFunctionParams, split_objective
 from .errors import ConvergenceError, DomainError, ResourceError
-from .geometry import Geometry, RegularPolygon, _angle, _flat, _side, area_bounds, validate_area
+from .geometry import (
+    Geometry, RegularPolygon, _angle, _flat, _record, _side, area_bounds, validate_area,
+)
 from .threshold import critical_angle
 
 # Perimeter differences smaller than this are reported as ties rather than
@@ -46,7 +48,8 @@ class Verdict(str, Enum):
 _STRICT, _TIE, _SPLIT = Verdict.SINGLE_OPTIMAL_STRICT, Verdict.TIE, Verdict.SPLIT_BEATS_SINGLE
 
 
-# The records here fill __dict__ in their own __init__, as RegularPolygon does.
+# Configuration checks its arguments in its own __init__, as RegularPolygon
+# does; the other records here copy theirs in one from geometry._record.
 @dataclass(frozen=True, init=False)
 class Configuration:
     """Disjoint regular n-gons in one geometry, tracked by their areas."""
@@ -65,7 +68,7 @@ class Configuration:
                 validate_area(geometry, n, area)
         d = self.__dict__
         d["geometry"] = geometry
-        d["n"] = n
+        d["n"] = operator.index(n)  # a builtin int, so that no numpy scalar leaks into results
         d["areas"] = areas
 
     @property
@@ -89,7 +92,7 @@ def total_perimeter(config: Configuration) -> float:
     return reduce(add, _part_perimeters(config))
 
 
-@dataclass(frozen=True, init=False)
+@_record
 class MergeStep:
     """One pairwise comparison in a prefix-merge pass."""
 
@@ -97,14 +100,8 @@ class MergeStep:
     merged_area: float
     merged_perimeter: float
 
-    def __init__(self, pair_perimeter: float, merged_area: float, merged_perimeter: float) -> None:
-        d = self.__dict__
-        d["pair_perimeter"] = pair_perimeter
-        d["merged_area"] = merged_area
-        d["merged_perimeter"] = merged_perimeter
 
-
-@dataclass(frozen=True, init=False)
+@_record
 class SplitAssessment:
     """Outcome of comparing a configuration against the single polygon.
 
@@ -123,27 +120,6 @@ class SplitAssessment:
     witness: Configuration | None = None
     merge_steps: tuple[MergeStep, ...] = ()
     part_perimeters: tuple[float, ...] = ()
-
-    def __init__(
-        self,
-        single_perimeter: float,
-        config_perimeter: float,
-        verdict: Verdict,
-        angle: float,
-        critical_angle: float | None = None,
-        witness: Configuration | None = None,
-        merge_steps: tuple[MergeStep, ...] = (),
-        part_perimeters: tuple[float, ...] = (),
-    ) -> None:
-        d = self.__dict__
-        d["single_perimeter"] = single_perimeter
-        d["config_perimeter"] = config_perimeter
-        d["verdict"] = verdict
-        d["angle"] = angle
-        d["critical_angle"] = critical_angle
-        d["witness"] = witness
-        d["merge_steps"] = merge_steps
-        d["part_perimeters"] = part_perimeters
 
 
 def _verdict(config_perimeter: float, single_perimeter: float) -> Verdict:
@@ -179,7 +155,9 @@ def assess_two_split(
     Flat and spherical splits always lose; theta1 is rejected there.
     """
     validate_area(geometry, n, total)
-    total = float(total)  # after the check, whose text prints the caller's value
+    # after the check, whose text prints the caller's values: builtin numbers,
+    # so that no numpy scalar leaks into the perimeters and the angle
+    n, total = operator.index(n), float(total)
     hyperbolic = geometry.curvature < 0
     if theta1 is not None and not hyperbolic:
         raise DomainError("theta1 applies only to hyperbolic splits")
@@ -261,7 +239,7 @@ def _assessment(
     return SplitAssessment(single_p, config_p, verdict, angle, threshold, witness, steps, parts)
 
 
-@dataclass(frozen=True, init=False)
+@_record
 class CounterexampleResult:
     """Two hyperbolic triangles against the thin triangle of their total area."""
 
@@ -270,21 +248,6 @@ class CounterexampleResult:
     split_perimeter: float
     single_perimeter: float
     margin: float
-
-    def __init__(
-        self,
-        config: Configuration,
-        single: RegularPolygon,
-        split_perimeter: float,
-        single_perimeter: float,
-        margin: float,
-    ) -> None:
-        d = self.__dict__
-        d["config"] = config
-        d["single"] = single
-        d["split_perimeter"] = split_perimeter
-        d["single_perimeter"] = single_perimeter
-        d["margin"] = margin
 
 
 def counterexample_triangles(epsilon: float) -> CounterexampleResult:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 
 from .errors import DomainError
@@ -127,11 +127,31 @@ def area_from_angle(geometry: Geometry, n: int, angle: float) -> float:
     return area
 
 
-# The records built on every decision call (this one and those of
-# configurations) write their fields into __dict__ in a hand-written
-# __init__: the generated one of a frozen dataclass sets each field through
-# object.__setattr__, about three times as slow. init=False keeps the rest of
-# the generated class: eq, hash, repr, match args and the frozen setattr.
+# The records built on every decision call write their fields into __dict__
+# in their own __init__: the generated one of a frozen dataclass sets each
+# field through object.__setattr__, about three times as slow. init=False
+# keeps the rest of the generated class: eq, hash, repr, match args and the
+# frozen setattr. RegularPolygon and Configuration check their arguments;
+# the other records only copy them, in an __init__ made by _record.
+def _record(cls):
+    """A frozen dataclass of cls with an __init__ that only copies its arguments.
+
+    The __init__ is generated from the fields, as dataclasses generates its
+    own, with the same parameters, defaults and annotations.
+    """
+    cls = dataclass(frozen=True, init=False)(cls)
+    specs = fields(cls)
+    params = ", ".join(f.name for f in specs)
+    body = "".join(f"\n    d[{f.name!r}] = {f.name}" for f in specs)
+    scope = {"__name__": cls.__module__}
+    exec(f"def __init__(self, {params}):\n    d = self.__dict__{body}", scope)
+    init = cls.__init__ = scope["__init__"]
+    init.__defaults__ = tuple(f.default for f in specs if f.default is not MISSING) or None
+    init.__annotations__ = {f.name: f.type for f in specs}
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
+
 @dataclass(frozen=True, init=False)
 class RegularPolygon:
     """Regular n-gon identified by its ambient geometry, side count and area."""

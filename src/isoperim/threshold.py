@@ -6,31 +6,46 @@ d = cos(2*pi/n) + cos(x), the zero condition csc^2(x/2)*d = sin(x)*cot(x/2)
 becomes cos^2(x0/2) = sin(pi/n). The equal-split margin has a single root
 below x0, the critical angle, solved for in the deficit t = flat - x =
 area/n on [flat - x0, flat), where the margin falls from positive to -inf;
-its half sides take their deficits from t, and max_area is n*t. The start
-is the asymptote t0 = 4*(pi/n)**(1/3) - 4*pi/n (observed, not derived), or
-the midpoint where t0 is outside (n = 3). A Newton step on the margin's
-closed-form slope is taken only when it lands strictly inside the current
-sign bracket, and a bisection step otherwise, so the iteration converges
-unconditionally and, near the root, quadratically. It stops once the
-margin is within its own rounding floor.
+its half sides take their deficits from t, and max_area is n*t. With
+a = pi/n the start is the root's expansion
+t0 = 4*a**(1/3) - 4*a + (56/45)*a**(5/3) - (268/567)*a**(7/3), its
+coefficients observed in high-precision roots, not derived; below n = 8 it
+is the first two terms, or the midpoint where those are outside (n = 3).
+A Newton step on the margin's closed-form slope is taken only when it lands
+strictly inside the current sign bracket, and a bisection step otherwise,
+so the iteration converges unconditionally and, near the root,
+quadratically. It stops once the margin is within its own rounding floor,
+except at the start: a start within the floor takes one Newton step, with
+the bracket unchanged, and the solve goes on from its target (see _bisect).
+The slope is evaluated only where a step is taken. Over every n in
+[3, 10**6] a solve takes 1 iteration (the start's step does not move it)
+for 397501 n, 2 for 602352, and at most 7; over n in [3, 2000] a mean of
+2.09.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .analysis import _margin_terms
+from .analysis import _margin_slope, _margin_terms
 from .errors import BracketError, ConvergenceError
-from .geometry import _check_sides, _flat
+from .geometry import _check_sides, _flat, _record
 
 MAX_ITERATIONS = 200
 RESIDUAL_TOL = 1e-10
+# From this n on the start has all four terms. Below it the two-term start is
+# kept: there the four-term one is still 4e-3 to 0.12 relative off the root,
+# saves 1 to 3 iterations of five solves, and its solves ended further from
+# mpmath's root at n = 3, 5, 6 and 7 (12.6, 2.2, 12.6 and 2.2 ulp, against
+# 1.4, 0.2, 10.6 and 0.2). From 8 to 2000 the solves ended nearer the root
+# than from the two-term start (a mean of 5.2 ulp, against 6.8), and n = 8
+# and 12 kept their bits.
+START_TERMS_FROM = 8
 
 
-@dataclass(frozen=True)
+@_record
 class ThresholdResult:
     """Critical angle for one side count, with solver diagnostics.
 
@@ -38,7 +53,7 @@ class ThresholdResult:
     `critical_angle`; equivalently the total area exceeds `max_area`.
     For every n in [3, 10**6], `critical_angle` is within 1e-13 relative
     error of the exact root and `max_area` within 2.5e-12 (measured against
-    mpmath over every such n: at worst 4.8e-14 and 2.2e-12, at n = 680172).
+    mpmath over every such n: at worst 4.7e-14 and 2.26e-12, at n = 765935).
     """
 
     n: int
@@ -50,23 +65,28 @@ class ThresholdResult:
 
 
 def _bisect(
-    f: Callable[[float], tuple[float, float, float]], lo: float, hi: float,
+    f: Callable[[float], tuple[float, float]], lo: float, hi: float,
     flo: float | None = None, fhi: float | None = None, first: float | None = None, n=None,
+    slope: Callable[[float], float] | None = None,
 ) -> tuple[float, int, float]:
     """Bracketed root finder; returns (root, iterations, |f(root)|).
 
-    f(x) returns (value, slope, floor): the function value, its derivative
-    (0.0 for none) and the magnitude at or below which the value counts as
-    zero. flo and fhi are the values at lo and hi when the caller has them;
-    for an open end it passes f's infinite limit there, as no iterate lands
-    on an end. Every iterate shrinks the sign bracket [lo, hi]. The first
-    iterate is `first` when it lies strictly inside the bracket, and the
-    midpoint otherwise; after that, when the slope at the latest iterate is
-    nonzero and its Newton step lands strictly inside the bracket, its
-    target is the next iterate, and otherwise the midpoint is. Stops once
-    |value| <= floor. A bracket that closes to adjacent floats first is a
-    ConvergenceError, or a BracketError if it closed onto an open end (no
-    sign change). With slope 0.0 this is plain bisection. Errors carry n.
+    f(x) returns (value, floor): the function value and the magnitude at or
+    below which it counts as zero. flo and fhi are the values at lo and hi
+    when the caller has them; for an open end it passes f's infinite limit
+    there, as no iterate lands on an end. Every iterate outside the floor
+    shrinks the sign bracket [lo, hi]. The first iterate is `first` when it
+    lies strictly inside the bracket, and the midpoint otherwise. After an
+    iterate outside the floor, `slope` (f's derivative) is called there, and
+    when its Newton step lands strictly inside the bracket its target is the
+    next iterate; otherwise the midpoint is. Stops at an iterate within the
+    floor, except at the first: a start can be there by the size of the
+    floor alone, so its Newton target, strictly inside the unchanged bracket
+    and not the start itself, is evaluated and the iteration goes on from it
+    (the start is the root otherwise). A bracket that closes to adjacent
+    floats first is a ConvergenceError, or a BracketError if it closed onto
+    an open end (no sign change). With no slope this is plain bisection.
+    Errors carry n.
     """
     flo = f(lo)[0] if flo is None else flo
     if flo == 0.0:
@@ -80,15 +100,22 @@ def _bisect(
         )
     x = first if first is not None and lo < first < hi else 0.5 * (lo + hi)
     for i in range(1, MAX_ITERATIONS + 1):
-        fx, slope, floor = f(x)
+        fx, floor = f(x)
         if abs(fx) <= floor:
-            return x, i, abs(fx)
+            if i > 1 or slope is None:
+                return x, i, abs(fx)
+            s = slope(x)
+            target = x - fx / s if s else x
+            if target == x or not lo < target < hi:
+                return x, i, abs(fx)
+            x = target
+            continue
         if math.copysign(1.0, fx) == math.copysign(1.0, flo):
             lo, flo = x, fx
         else:
             hi, fhi = x, fx
         x_next = 0.5 * (lo + hi)
-        if slope != 0.0 and math.isfinite(slope) and lo < (target := x - fx / slope) < hi:
+        if slope is not None and (s := slope(x)) and lo < (target := x - fx / s) < hi:
             x_next = target
         if not lo < x_next < hi:  # two adjacent floats
             break
@@ -116,24 +143,27 @@ def critical_angle(n: int) -> ThresholdResult:
     """Critical interior angle: the unique root of the equal-split margin.
 
     Solved for the deficit t = flat - x on [flat - x0, flat) from the
-    asymptote's t0 (see the module docstring); the margin must be positive
-    at the inflection point x0.
+    root's expansion t0 (see the module docstring); the margin must be
+    positive at the inflection point x0.
     """
     n = _check_sides(n)
     x0 = inflection_point(n)
     flat = _flat(n)
     lo = flat - x0  # exact: x0 lies in [flat/2, flat)
-    flo = _margin_terms(n, x0, False, lo)[0]
+    flo = _margin_terms(n, x0, lo)[0]
     if not flo > 0.0:
         raise BracketError(f"margin not positive at the inflection point for n={n}", n=n)
-    t0 = 4.0 * (math.pi / n) ** (1.0 / 3.0) - 4.0 * math.pi / n
+    a = math.pi / n
+    t0 = 4.0 * a ** (1.0 / 3.0) - 4.0 * a
+    if n >= START_TERMS_FROM:
+        t0 += a ** (5.0 / 3.0) * (56.0 / 45.0 - 268.0 / 567.0 * a ** (2.0 / 3.0))
     t, iterations, residual = _bisect(
-        lambda t: _margin_terms(n, flat - t, True, t), lo, flat, flo, -math.inf, t0, n
+        lambda t: _margin_terms(n, flat - t, t), lo, flat, flo, -math.inf, t0, n,
+        lambda t: _margin_slope(n, flat - t, t),
     )
     if residual > RESIDUAL_TOL:
         raise ConvergenceError(
             f"critical-angle residual {residual} exceeds {RESIDUAL_TOL} for n={n}",
             n=n, bracket=(lo, flat), residual=residual,
         )
-    return ThresholdResult(n=n, critical_angle=flat - t, inflection=x0, max_area=n * t,
-                           iterations=iterations, residual=residual)
+    return ThresholdResult(n, flat - t, x0, n * t, iterations, residual)

@@ -1110,3 +1110,21 @@ def test_merge_chain_half_underflow_has_no_witness(n):
     assert res.witness is None
     assert res.verdict is Verdict.TIE
     assert res.config_perimeter == res.single_perimeter
+
+
+def test_numpy_side_count_gives_builtin_numbers_in_decisions():
+    five = np.int64(5)
+    for total, theta1 in ((1.0, None), (8.0, None), (8.0, 0.3)):  # single wins, halves win
+        res = assess_two_split(HYP, five, total, theta1)
+        numbers = (res.single_perimeter, res.config_perimeter, res.angle, res.critical_angle)
+        assert all(type(v) is float for v in numbers)
+        assert res.witness is None or type(res.witness.n) is int
+        assert res == assess_two_split(HYP, 5, total, theta1)
+    config = Configuration(HYP, five, (0.5, 0.7))
+    assert type(config.n) is int and config == Configuration(HYP, 5, (0.5, 0.7))
+    chain = merge_chain(config)
+    steps = [v for step in chain.merge_steps for v in dataclasses.astuple(step)]
+    assert all(type(v) is float for v in (chain.single_perimeter, *chain.part_perimeters, *steps))
+    assert type(assess_configuration(Configuration(EUC, five, (9.0, 16.0))).angle) is float
+    best, p = brute_force_min(HYP, five, 1.0, 2, 10)
+    assert type(best.n) is int and type(p) is float

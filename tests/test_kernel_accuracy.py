@@ -180,16 +180,21 @@ def test_margin_at_a_tiny_angle_is_finite():
 
 
 # Bits of the solve in the deficit variable t = flat - x, from the
-# asymptote's start. Each is within 1.4 ulp of mpmath's root for n <= 7,
-# and within 48 ulp up to 10**6.
+# two-term start below n = 8 and the four-term start from there on; those
+# of n <= 12 are the two-term start's too. Each is within 1.4 ulp of
+# mpmath's root for n <= 12 except 6 and 8 (10.6 and 3.7), within 0.9 ulp
+# at 1000 and 10**6, and 86 ulp (1.2e-14 relative) at 158489.
 THETA_BITS = {
     3: "0x1.0aea04ac78334p-2",
     4: "0x1.af404d6b5d098p-2",
     5: "0x1.14ad63bf4fd8ep-1",
+    6: "0x1.45b1846fdd77ap-1",
     7: "0x1.6ec2fc1002518p-1",
-    1000: "0x1.47ee2bcf99987p+1",
-    158489: "0x1.8445be18dbe30p+1",
-    10**6: "0x1.8aa03e7a5115bp+1",
+    8: "0x1.921fb54442d1cp-1",
+    12: "0x1.fc4e581f87614p-1",
+    1000: "0x1.47ee2bcf9998fp+1",
+    158489: "0x1.8445be18dbe83p+1",
+    10**6: "0x1.8aa03e7a5112cp+1",
 }
 HALF_SIDE_BITS = [
     (3, "0x1.0c152382d7365p-1", "0x1.46d4f35aed1e3p+0"),

@@ -1,7 +1,8 @@
-"""The records with a hand-written __init__ behave as the generated dataclass would.
+"""The records with their own __init__ behave as the generated dataclass would.
 
-Configuration, RegularPolygon, MergeStep, SplitAssessment and
-CounterexampleResult write their fields into __dict__ themselves. Each is
+Configuration, RegularPolygon, MergeStep, SplitAssessment,
+CounterexampleResult and ThresholdResult write their fields into __dict__
+themselves (the last four in an __init__ made by geometry._record). Each is
 compared here with a plain frozen dataclass made from its own fields, and
 Configuration's one bounds check keeps the texts of a per-part validate_area.
 """
@@ -23,6 +24,7 @@ from isoperim import (
     MergeStep,
     RegularPolygon,
     SplitAssessment,
+    ThresholdResult,
     Verdict,
 )
 
@@ -76,6 +78,12 @@ SAMPLES = {
              margin=1.0),
         dict(config=_CONFIG, single=_POLYGON, split_perimeter=5.0, single_perimeter=4.0,
              margin=-1.0),
+    ),
+    ThresholdResult: (
+        dict(n=3, critical_angle=0.25, inflection=0.75, max_area=2.25, iterations=7,
+             residual=0.0),
+        dict(n=4, critical_angle=0.5, inflection=1.0, max_area=4.25, iterations=2,
+             residual=1e-17),
     ),
 }
 RECORDS = list(SAMPLES)

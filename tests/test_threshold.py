@@ -38,37 +38,37 @@ def domain_hi(n: int) -> float:
 
 
 def test_bisect_linear():
-    assert _bisect(lambda x: (x - 1.0, 0.0, 1e-12), 0.0, 2.0)[0] == pytest.approx(1.0, abs=1e-12)
+    assert _bisect(lambda x: (x - 1.0, 1e-12), 0.0, 2.0)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bisect_cosine():
-    root = _bisect(lambda x: (math.cos(x), 0.0, 1e-13), 0.0, 3.0)[0]
+    root = _bisect(lambda x: (math.cos(x), 1e-13), 0.0, 3.0)[0]
     assert root == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_bisect_margin_bracket():
-    root = _bisect(lambda x: (equal_split_margin(3, x), 0.0, 1e-12), 0.2, 0.3)[0]
+    root = _bisect(lambda x: (equal_split_margin(3, x), 1e-12), 0.2, 0.3)[0]
     assert root == pytest.approx(THETA_3, abs=1e-10)
 
 
 def test_bisect_same_sign_raises():
     with pytest.raises(BracketError):
-        _bisect(lambda x: (x + 10.0, 0.0, 1e-10), 0.0, 1.0)
+        _bisect(lambda x: (x + 10.0, 1e-10), 0.0, 1.0)
 
 
 def test_bisect_root_at_endpoint():
-    assert _bisect(lambda x: (x, 0.0, 1e-10), 0.0, 1.0)[0] == 0.0
+    assert _bisect(lambda x: (x, 1e-10), 0.0, 1.0)[0] == 0.0
 
 
 def test_bisect_root_at_upper_endpoint():
-    assert _bisect(lambda x: (x - 1.0, 0.0, 1e-10), 0.0, 1.0) == (1.0, 0, 0.0)
+    assert _bisect(lambda x: (x - 1.0, 1e-10), 0.0, 1.0) == (1.0, 0, 0.0)
 
 
 def test_bisect_exhausts_iterations():
     # a sign step on an interval too wide to collapse within the budget
     step = lambda x: 1.0 if x >= 1.0 else -1.0
     with pytest.raises(ConvergenceError):
-        _bisect(lambda x: (step(x), 0.0, 1e-3), 0.0, 1e60)
+        _bisect(lambda x: (step(x), 1e-3), 0.0, 1e60)
 
 
 def test_newton_falls_back_to_bisection_outside_bracket():
@@ -76,7 +76,7 @@ def test_newton_falls_back_to_bisection_outside_bracket():
     # bracket; the safeguarded iteration must still close in on 0, and
     # faster than the 56 steps of plain bisection
     root, iterations, residual = _bisect(
-        lambda x: (math.atan(x), 1.0 / (1.0 + x * x), 0.0), -1.0, 20.0
+        lambda x: (math.atan(x), 0.0), -1.0, 20.0, slope=lambda x: 1.0 / (1.0 + x * x)
     )
     assert abs(root) <= 1e-15
     assert residual == abs(math.atan(root))
@@ -85,12 +85,12 @@ def test_newton_falls_back_to_bisection_outside_bracket():
 
 def test_solver_errors_carry_n_bracket_and_residual(monkeypatch):
     with pytest.raises(BracketError) as info:
-        _bisect(lambda x: (x + 10.0, 0.0, 1e-10), 0.0, 1.0)
+        _bisect(lambda x: (x + 10.0, 1e-10), 0.0, 1.0)
     assert (info.value.n, info.value.bracket, info.value.residual) == (None, (0.0, 1.0), None)
     assert str(info.value) == "no sign change on [0.0, 1.0]: f=10.0 and 11.0"
 
     with pytest.raises(ConvergenceError) as info:
-        _bisect(lambda x: (1.0 if x >= 1.0 else -1.0, 0.0, 1e-3), 0.0, 1e60)
+        _bisect(lambda x: (1.0 if x >= 1.0 else -1.0, 1e-3), 0.0, 1e60)
     lo, hi = info.value.bracket
     assert info.value.n is None and lo < 1.0 <= hi and info.value.residual == 1.0
 
@@ -112,11 +112,12 @@ def test_solver_errors_carry_n_bracket_and_residual(monkeypatch):
     # end, which is never evaluated (the true margin is -inf there)
     flat4 = domain_hi(4)
 
-    def never_negative(n, x, with_slope=True, t=None):
+    def never_negative(n, x, t=None):
         assert t < flat4
-        return 1.0, 0.0, 0.0
+        return 1.0, 0.0
 
     monkeypatch.setattr(threshold, "_margin_terms", never_negative)
+    monkeypatch.setattr(threshold, "_margin_slope", lambda n, x, t: 0.0)  # bisection
     with pytest.raises(BracketError) as info:
         critical_angle(4)
     err = info.value
@@ -126,7 +127,7 @@ def test_solver_errors_carry_n_bracket_and_residual(monkeypatch):
     assert str(err).endswith(" iterations: f=1.0 and -inf")
 
     monkeypatch.setattr(
-        threshold, "_margin_terms", lambda n, x, with_slope=True, t=None: (-1.0, 0.0, 0.0)
+        threshold, "_margin_terms", lambda n, x, t=None: (-1.0, 0.0)
     )
     with pytest.raises(BracketError) as info:
         critical_angle(5)
@@ -137,7 +138,7 @@ def test_solver_errors_carry_n_bracket_and_residual(monkeypatch):
 def test_bisect_raises_when_the_bracket_closes():
     # a sign step at 1.0 with no value within the floor: the bracket closes to
     # two adjacent floats, and no iterate lands on an end
-    step = lambda x: (1.0 if x >= 1.0 else -1.0, 0.0, 0.0)  # noqa: E731
+    step = lambda x: (1.0 if x >= 1.0 else -1.0, 0.0)  # noqa: E731
     with pytest.raises(ConvergenceError) as info:
         _bisect(step, 0.0, 2.0, n=7)
     err = info.value
@@ -153,11 +154,11 @@ def test_bisect_first_iterate_inside_the_bracket_only():
 
     def f(x):
         seen.append(x)
-        return x - 1.0, 1.0, 0.0
+        return x - 1.0, 0.0
 
-    assert _bisect(f, 0.0, 4.0, first=1.0) == (1.0, 1, 0.0)
+    assert _bisect(f, 0.0, 4.0, first=1.0, slope=lambda x: 1.0) == (1.0, 1, 0.0)
     seen.clear()
-    _bisect(f, 0.0, 4.0, first=5.0)  # outside: the midpoint instead
+    _bisect(f, 0.0, 4.0, first=5.0, slope=lambda x: 1.0)  # outside: the midpoint instead
     assert seen[:3] == [0.0, 4.0, 2.0]
 
 
@@ -295,15 +296,101 @@ def test_iteration_count_bound():
     assert worst <= 7
 
 
+def test_cold_solves_evaluate_the_slope_only_where_a_step_is_taken(monkeypatch):
+    # over the side counts of `theta --range 3 2000`: the margin counted with
+    # the positivity check at x0, the slope never at the accepted iterate
+    margins, slopes = [], []
+    margin_terms, margin_slope = threshold._margin_terms, threshold._margin_slope
+
+    def counted_margin(n, x, t=None):
+        margins.append(t)
+        return margin_terms(n, x, t)
+
+    def counted_slope(n, x, t):
+        slopes.append(t)
+        return margin_slope(n, x, t)
+
+    monkeypatch.setattr(threshold, "_margin_terms", counted_margin)
+    monkeypatch.setattr(threshold, "_margin_slope", counted_slope)
+    ns = range(3, 2001)
+    margin_count = slope_count = 0
+    for n in ns:
+        critical_angle.cache_clear()
+        margins.clear(), slopes.clear()
+        res = critical_angle(n)
+        assert margins[-1] not in slopes  # the last margin is at the accepted t
+        assert (len(margins), len(slopes)) == (res.iterations + 1, res.iterations - 1)
+        margin_count, slope_count = margin_count + len(margins), slope_count + len(slopes)
+    critical_angle.cache_clear()
+    # measured 3.09 and 1.09 (4.26 and 3.26 from the two-term start)
+    assert margin_count / len(ns) <= 3.2 and slope_count / len(ns) <= 1.2
+
+
+def test_start_coefficients_from_high_precision_roots():
+    # the start's third and fourth terms, (56/45)*a**(5/3) and
+    # -(268/567)*a**(7/3) for a = pi/n, as observed in 80-digit roots of the
+    # margin in t: r(n) = t - 4*a**(1/3) + 4*a divided by a**(5/3) is
+    # 56/45 + c*a**(2/3) + O(a**(4/3)), so two side counts give both numbers
+    quotients = []
+    with mp.workdps(80):
+        for n in (10**8, 10**10):
+            a = mp.pi / n
+            flat, c = mp.pi - 2 * a, mp.cos(a)
+            margin = lambda t: (  # noqa: E731
+                2 * mp.acosh(c / mp.sin((flat - t / 2) / 2)) - mp.acosh(c / mp.sin((flat - t) / 2))
+            )
+            t = mp.findroot(margin, 4 * mp.cbrt(a) - 4 * a, tol=mp.mpf(10) ** -70)
+            quotients.append(((t - 4 * mp.cbrt(a) + 4 * a) / a ** (mp.mpf(5) / 3), mp.cbrt(a**2)))
+        (q1, a1), (q2, a2) = quotients
+        third = (q2 * a1 - q1 * a2) / (a1 - a2)
+        fourth = ((q2 - third) / a2 * a1 - (q1 - third) / a1 * a2) / (a1 - a2)
+        assert abs(third - mp.mpf(56) / 45) <= 1e-8
+        assert abs(fourth + mp.mpf(268) / 567) <= 1e-8
+
+
 # Iterations with the stop at the t-form margin's rounding floor, from the
-# asymptote's start.
-@pytest.mark.parametrize("n, bound", [(1000, 3), (158489, 2), (501187, 2), (10**6, 2)])
+# four-term start: at 10**6 the start is within the floor and its Newton step
+# does not move it.
+@pytest.mark.parametrize("n, bound", [(1000, 2), (158489, 2), (501187, 2), (10**6, 1)])
 def test_solve_stops_at_rounding_floor(n, bound):
     res = critical_angle(n)
     assert res.iterations <= bound
     t = res.max_area / n  # within an ulp of the solve's t; the floor is smooth in t
     flat = domain_hi(n)
-    assert res.residual <= threshold._margin_terms(n, flat - t, True, t)[2]
+    assert res.residual <= threshold._margin_terms(n, flat - t, t)[1]
+
+
+def test_bisect_polishes_a_start_within_the_floor():
+    seen, slopes = [], []
+
+    def f(x):  # the start 0.5 is within its floor, no other point off the root
+        seen.append(x)
+        return x - 1.0, 0.6 if x == 0.5 else 0.0
+
+    def newton(steps):
+        def slope(x):
+            slopes.append(x)
+            return steps.get(x, 1.0)
+        return slope
+
+    # the start's Newton target, 1.0, is the root: one slope, at the start
+    assert _bisect(f, 0.0, 4.0, first=0.5, slope=newton({})) == (1.0, 2, 0.0)
+    assert (seen[2:], slopes) == ([0.5, 1.0], [0.5])
+
+    # a target outside the floor: the start did not narrow the bracket (0, 4),
+    # so the next Newton target, below the start, still lies inside it
+    seen.clear(), slopes.clear()
+    root, iterations, _ = _bisect(f, 0.0, 4.0, first=0.5, slope=newton({0.5: 0.25, 2.5: 0.7}))
+    assert seen[2:4] == [0.5, 2.5] and 0.0 < seen[4] < 0.5
+    assert (root, iterations) == (1.0, len(seen) - 2)
+    assert slopes == seen[2:-1]  # never at the accepted iterate
+
+    # a target equal to the start, or outside the bracket: the start is the root
+    for step in (math.inf, 0.0, 0.1, -1.0):
+        seen.clear(), slopes.clear()
+        assert _bisect(f, 0.0, 4.0, first=0.5, slope=newton({0.5: step})) == (0.5, 1, 0.5)
+        assert slopes == [0.5]
+
 
 
 def mp_margin(n: int, x: mp.mpf) -> mp.mpf:
