@@ -181,8 +181,8 @@ def _cmd_theta(args: argparse.Namespace) -> str:
         )
     else:
         lo = hi = args.n
-    rows = [(r.n, r.critical_angle, r.inflection, r.max_area)
-            for r in map(critical_angle, range(lo, hi + 1))]
+    rows = [(r.n, r.critical_angle, r.inflection, r.max_area)  # no n repeats: uncached
+            for r in map(critical_angle.__wrapped__, range(lo, hi + 1))]
     if args.format == "json":
         return _record("theta", {"range": [lo, hi]}, {"rows": [list(r) for r in rows]})
     return _csv(("n", "theta", "x0", "max_area"), rows)

@@ -11,16 +11,14 @@ a = pi/n the start is the root's expansion
 t0 = 4*a**(1/3) - 4*a + (56/45)*a**(5/3) - (268/567)*a**(7/3), its
 coefficients observed in high-precision roots, not derived; below n = 8 it
 is the first two terms, or the midpoint where those are outside (n = 3).
-A Newton step on the margin's closed-form slope is taken only when it lands
-strictly inside the current sign bracket, and a bisection step otherwise,
-so the iteration converges unconditionally and, near the root,
-quadratically. It stops once the margin is within its own rounding floor,
-except at the start: a start within the floor takes one Newton step, with
-the bracket unchanged, and the solve goes on from its target (see _bisect).
-The slope is evaluated only where a step is taken. Over every n in
-[3, 10**6] a solve takes 1 iteration (the start's step does not move it)
-for 397501 n, 2 for 602352, and at most 7; over n in [3, 2000] a mean of
-2.09.
+Each step is a Newton step on the margin's closed-form slope where that
+lands strictly inside the sign bracket, and a bisection step otherwise, so
+the iteration converges unconditionally and, near the root, quadratically;
+it stops at the margin's own rounding floor (see _bisect for the start's
+one Newton step). Over every n in [3, 10**6] a solve takes 1 iteration
+(the start's step does not move it) for 397501 n, 2 for 602352, and at
+most 7; over n in [3, 2000] a mean of 2.09. The result keeps x0, so only
+critical_angle is memoized.
 """
 
 from __future__ import annotations
@@ -65,44 +63,30 @@ class ThresholdResult:
 
 
 def _bisect(
-    f: Callable[[float], tuple[float, float]], lo: float, hi: float,
-    flo: float | None = None, fhi: float | None = None, first: float | None = None, n=None,
-    slope: Callable[[float], float] | None = None,
+    f: Callable[[float], tuple[float, float]], lo: float, hi: float, flo: float, fhi: float,
+    first: float, n: int, slope: Callable[[float], float],
 ) -> tuple[float, int, float]:
-    """Bracketed root finder; returns (root, iterations, |f(root)|).
+    """Safeguarded Newton iteration on a sign bracket; returns (root, iterations, |f(root)|).
 
     f(x) returns (value, floor): the function value and the magnitude at or
-    below which it counts as zero. flo and fhi are the values at lo and hi
-    when the caller has them; for an open end it passes f's infinite limit
-    there, as no iterate lands on an end. Every iterate outside the floor
-    shrinks the sign bracket [lo, hi]. The first iterate is `first` when it
-    lies strictly inside the bracket, and the midpoint otherwise. After an
-    iterate outside the floor, `slope` (f's derivative) is called there, and
-    when its Newton step lands strictly inside the bracket its target is the
-    next iterate; otherwise the midpoint is. Stops at an iterate within the
-    floor, except at the first: a start can be there by the size of the
-    floor alone, so its Newton target, strictly inside the unchanged bracket
-    and not the start itself, is evaluated and the iteration goes on from it
-    (the start is the root otherwise). A bracket that closes to adjacent
-    floats first is a ConvergenceError, or a BracketError if it closed onto
-    an open end (no sign change). With no slope this is plain bisection.
-    Errors carry n.
+    below which it counts as zero. flo and fhi are f's values of opposite
+    sign at lo and hi, its infinite limit at an open end, where no iterate
+    lands. The first iterate is `first` if strictly inside the bracket, else
+    the midpoint. Each iterate outside the floor shrinks the bracket [lo, hi]
+    and is followed by its Newton target (`slope` is f's derivative) when
+    that lies strictly inside the bracket, and by the midpoint otherwise.
+    Stops at an iterate within the floor, except at the first: a start can
+    be there by the size of the floor alone, so its Newton target, strictly
+    inside the unchanged bracket and not the start itself, is evaluated and
+    the iteration goes on from it (the start is the root otherwise). A
+    bracket that closes to adjacent floats first is a ConvergenceError, or a
+    BracketError if it closed onto an open end. Errors carry n.
     """
-    flo = f(lo)[0] if flo is None else flo
-    if flo == 0.0:
-        return lo, 0, 0.0
-    fhi = f(hi)[0] if fhi is None else fhi
-    if fhi == 0.0:
-        return hi, 0, 0.0
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        raise BracketError(
-            f"no sign change on [{lo}, {hi}]: f={flo} and {fhi}", n=n, bracket=(lo, hi)
-        )
-    x = first if first is not None and lo < first < hi else 0.5 * (lo + hi)
+    x = first if lo < first < hi else 0.5 * (lo + hi)
     for i in range(1, MAX_ITERATIONS + 1):
         fx, floor = f(x)
         if abs(fx) <= floor:
-            if i > 1 or slope is None:
+            if i > 1:
                 return x, i, abs(fx)
             s = slope(x)
             target = x - fx / s if s else x
@@ -115,7 +99,7 @@ def _bisect(
         else:
             hi, fhi = x, fx
         x_next = 0.5 * (lo + hi)
-        if slope is not None and (s := slope(x)) and lo < (target := x - fx / s) < hi:
+        if (s := slope(x)) and lo < (target := x - fx / s) < hi:
             x_next = target
         if not lo < x_next < hi:  # two adjacent floats
             break
@@ -127,8 +111,6 @@ def _bisect(
     )
 
 
-# typed: a float n equal to a cached int must still reach _check_sides
-@lru_cache(maxsize=None, typed=True)
 def inflection_point(n: int) -> float:
     """Unique zero of the kernel's second derivative on its angle domain.
 

@@ -22,7 +22,6 @@ from isoperim import (
     critical_angle,
     equal_split_margin,
     half_side,
-    inflection_point,
     perimeter,
     split_objective,
 )
@@ -152,6 +151,14 @@ def test_non_finite_output_exits_3(capsys, monkeypatch):
     }
 
 
+def test_non_finite_number_inside_a_list_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_half_side", lambda n, x: math.inf)
+    code, out, err = run_cli(capsys, "scan", "--g", "3", "--format", "json")
+    assert (code, out) == (3, "")
+    error = json.loads(err)["error"]
+    assert error == {"type": "ConvergenceError", "message": "non-finite value inf in output"}
+
+
 def test_perim_unknown_geometry(capsys):
     code, _, err = run_cli(capsys, "perim", "elliptic", "4", "--area", "1")
     assert code == 2
@@ -194,15 +201,25 @@ def test_theta_max_sides(capsys):
     assert record["diagnostics"]["residual"] <= 1e-10
 
 
-def test_theta_range_above_max_sides_rejected_before_solving(capsys):
+def test_theta_range_above_max_sides_rejected_before_solving(capsys, monkeypatch):
+    def solved(*args):
+        raise AssertionError(f"margin evaluated at {args}")
+
     critical_angle.cache_clear()
-    inflection_point.cache_clear()
+    monkeypatch.setattr(threshold, "_margin_terms", solved)
     code, out, err = run_cli(capsys, "theta", "--range", "3", "1000001")
     assert code == 2
     assert out == ""
     error = json.loads(err)
     jsonschema.validate(error, ERROR_SCHEMA)
     assert error["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("argv", [("theta", "--range", "3", "60"), ("theta", "5", "--format", "csv")])
+def test_theta_rows_leave_the_cache_unchanged(capsys, argv):
+    # a range never repeats an n, so its rows are solved past the cache
+    critical_angle.cache_clear()
+    assert run_cli(capsys, *argv)[0] == 0
     assert critical_angle.cache_info().currsize == 0
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from isoperim import (
     Configuration,
+    ConvergenceError,
     DomainError,
     Geometry,
     MergeStep,
@@ -399,6 +400,14 @@ def test_counterexample_epsilon_lost_to_rounding():
     # pi - 3*epsilon rounds to pi: the error names epsilon, not an area
     with pytest.raises(DomainError, match="epsilon 1e-300 is too small"):
         counterexample_triangles(1e-300)
+
+
+def test_counterexample_pair_over_its_bound_raises(monkeypatch):
+    monkeypatch.setattr(configurations, "total_perimeter", lambda config: 1e9)
+    bound = 6.0 * math.acosh(3.0 + 2.0 * math.sqrt(3.0))
+    with pytest.raises(ConvergenceError) as info:
+        counterexample_triangles(0.1)
+    assert str(info.value) == f"pair perimeter 1000000000.0 exceeds its bound {bound}"
 
 
 def test_counterexample_bound_survives_optimized_mode():

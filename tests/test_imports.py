@@ -132,6 +132,12 @@ def test_star_import_and_dir():
     )
 
 
+def test_dir_lists_every_public_name():
+    names = dir(isoperim)
+    assert names == sorted(names)
+    assert {*isoperim.__all__, "__version__"} <= set(names)
+
+
 def test_unknown_name_raises_attribute_error():
     try:
         isoperim.nope
