@@ -2,23 +2,22 @@
 
 The hyperbolic half-side kernel maps an interior angle x to the half side
 length of the regular n-gon with that angle, so a polygon's perimeter is
-2*n times the kernel value. The equal-split margin and its slope, built
-from the kernel and its first derivative, drive the threshold computation;
-the two-split objective adds the half sides of a split, and the spherical
-analogue supplies the concavity argument for the spherical case.
+2*n times the kernel value. The equal-split margin, built from the
+kernel, has the critical angle as its root, which threshold solves for
+with the kernel's first derivative; the two-split objective adds the half
+sides of a split, and the spherical analogue supplies the concavity
+argument for the spherical case.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
 from .geometry import _check_sides, _flat, _half_side
 
 _SQRT2 = math.sqrt(2.0)
-_FLOOR_EPS = 4.0 * sys.float_info.epsilon
 
 
 def _require_angle(n: int, x: float) -> None:
@@ -135,7 +134,7 @@ def equal_split_margin(n: int, x: float) -> float:
             f"angle {x} is too close to the flat angle {flat}: "
             "the equal split's inner angle rounds onto it"
         )
-    return _margin_terms(n, x)[0]
+    return _margin(n, x)
 
 
 def _inner_angle(n: int, x: float) -> float:
@@ -143,22 +142,6 @@ def _inner_angle(n: int, x: float) -> float:
     return x / 2.0 + math.pi / 2.0 - math.pi / n
 
 
-def _margin_terms(n: int, x: float, t=None) -> tuple[float, float]:
-    """Equal-split margin at x and its rounding floor.
-
-    Given the deficit t = flat - x, the half sides take their deficits from
-    it (-t/2 at x, -t/4 at the inner angle x + t/2). No domain check. The
-    floor 4*eps*(2K(inner) + K(x)) bounds the rounding error of the margin's
-    two terms (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., ch. 1-3), so a margin within it is zero.
-    """
-    if t is None:
-        outer, k = 2.0 * _half_side(n, _inner_angle(n, x)), _half_side(n, x)
-    else:
-        outer, k = 2.0 * _half_side(n, x + 0.5 * t, -0.25 * t), _half_side(n, x, -0.5 * t)
-    return outer - k, _FLOOR_EPS * (outer + k)
-
-
-def _margin_slope(n: int, x: float, t: float) -> float:
-    """Slope in the deficit t = flat - x of the equal-split margin, K'(x) - K'(x + t/2)."""
-    return _half_side_d1(n, x) - _half_side_d1(n, x + 0.5 * t)
+def _margin(n: int, x: float) -> float:
+    """equal_split_margin without the domain checks."""
+    return 2.0 * _half_side(n, _inner_angle(n, x)) - _half_side(n, x)

@@ -230,7 +230,7 @@ def _scan_grid(lo: float, hi: float) -> list[float]:
 
 def _cmd_scan(args: argparse.Namespace) -> str:
     from .analysis import (
-        SplitFunctionParams, _margin_terms, equal_split_margin, half_side, split_objective,
+        SplitFunctionParams, _margin, equal_split_margin, half_side, split_objective,
     )
 
     modes = [m for m in ("phi", "g", "h") if getattr(args, m) is not None]
@@ -257,7 +257,7 @@ def _cmd_scan(args: argparse.Namespace) -> str:
     if mode == "h":
         values = [_half_side(n, x) + _half_side(n, c - x) for x in xs]
     elif mode == "phi":
-        values = [_margin_terms(n, x)[0] for x in xs]
+        values = [_margin(n, x) for x in xs]
     else:
         values = [_half_side(n, x) for x in xs]
 

@@ -14,25 +14,28 @@ is the first two terms, or the midpoint where those are outside (n = 3).
 Each step is a Newton step on the margin's closed-form slope where that
 lands strictly inside the sign bracket, and a bisection step otherwise, so
 the iteration converges unconditionally and, near the root, quadratically;
-it stops at the margin's own rounding floor (see _bisect for the start's
-one Newton step). Over every n in [3, 10**6] a solve takes 1 iteration
-(the start's step does not move it) for 397501 n, 2 for 602352, and at
-most 7; over n in [3, 2000] a mean of 2.09. The result keeps x0, so only
-critical_angle is memoized.
+it stops at the margin's own rounding floor (see critical_angle for the
+start's one Newton step). The loop in critical_angle is the one root
+finder; it calls the scalar kernels _half_side and _half_side_d1 itself.
+Over every n in [3, 10**6] a solve takes 1 iteration (the start's step
+does not move it) for 397501 n, 2 for 602352, and at most 7; over n in
+[3, 2000] a mean of 2.09. The result keeps x0, so only critical_angle is
+memoized.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+import sys
 from functools import lru_cache
 
-from .analysis import _margin_slope, _margin_terms
+from .analysis import _half_side_d1
 from .errors import BracketError, ConvergenceError
-from .geometry import _check_sides, _flat, _record
+from .geometry import _check_sides, _flat, _half_side, _record
 
 MAX_ITERATIONS = 200
 RESIDUAL_TOL = 1e-10
+_FLOOR_EPS = 4.0 * sys.float_info.epsilon
 # From this n on the start has all four terms. Below it the two-term start is
 # kept: there the four-term one is still 4e-3 to 0.12 relative off the root,
 # saves 1 to 3 iterations of five solves, and its solves ended further from
@@ -62,61 +65,16 @@ class ThresholdResult:
     residual: float
 
 
-def _bisect(
-    f: Callable[[float], tuple[float, float]], lo: float, hi: float, flo: float, fhi: float,
-    first: float, n: int, slope: Callable[[float], float],
-) -> tuple[float, int, float]:
-    """Safeguarded Newton iteration on a sign bracket; returns (root, iterations, |f(root)|).
-
-    f(x) returns (value, floor): the function value and the magnitude at or
-    below which it counts as zero. flo and fhi are f's values of opposite
-    sign at lo and hi, its infinite limit at an open end, where no iterate
-    lands. The first iterate is `first` if strictly inside the bracket, else
-    the midpoint. Each iterate outside the floor shrinks the bracket [lo, hi]
-    and is followed by its Newton target (`slope` is f's derivative) when
-    that lies strictly inside the bracket, and by the midpoint otherwise.
-    Stops at an iterate within the floor, except at the first: a start can
-    be there by the size of the floor alone, so its Newton target, strictly
-    inside the unchanged bracket and not the start itself, is evaluated and
-    the iteration goes on from it (the start is the root otherwise). A
-    bracket that closes to adjacent floats first is a ConvergenceError, or a
-    BracketError if it closed onto an open end. Errors carry n.
-    """
-    x = first if lo < first < hi else 0.5 * (lo + hi)
-    for i in range(1, MAX_ITERATIONS + 1):
-        fx, floor = f(x)
-        if abs(fx) <= floor:
-            if i > 1:
-                return x, i, abs(fx)
-            s = slope(x)
-            target = x - fx / s if s else x
-            if target == x or not lo < target < hi:
-                return x, i, abs(fx)
-            x = target
-            continue
-        if math.copysign(1.0, fx) == math.copysign(1.0, flo):
-            lo, flo = x, fx
-        else:
-            hi, fhi = x, fx
-        x_next = 0.5 * (lo + hi)
-        if (s := slope(x)) and lo < (target := x - fx / s) < hi:
-            x_next = target
-        if not lo < x_next < hi:  # two adjacent floats
-            break
-        x = x_next
-    error = ConvergenceError if math.isfinite(flo) and math.isfinite(fhi) else BracketError
-    raise error(
-        f"no root within the floor on [{lo}, {hi}] after {i} iterations: f={flo} and {fhi}",
-        n=n, bracket=(lo, hi), residual=abs(fx),
-    )
-
-
 def inflection_point(n: int) -> float:
     """Unique zero of the kernel's second derivative on its angle domain.
 
     The zero satisfies cos^2(x0/2) = sin(pi/n), so x0 = 2*acos(sqrt(sin(pi/n))).
     """
-    n = _check_sides(n)
+    return _inflection(_check_sides(n))
+
+
+def _inflection(n: int) -> float:
+    """inflection_point without the side-count check."""
     return 2.0 * math.acos(math.sqrt(math.sin(math.pi / n)))
 
 
@@ -124,28 +82,67 @@ def inflection_point(n: int) -> float:
 def critical_angle(n: int) -> ThresholdResult:
     """Critical interior angle: the unique root of the equal-split margin.
 
-    Solved for the deficit t = flat - x on [flat - x0, flat) from the
-    root's expansion t0 (see the module docstring); the margin must be
-    positive at the inflection point x0.
+    Solved for the deficit t = flat - x on [flat - x0, flat) from t0, as the
+    module docstring describes. In t the margin is 2K(x + t/2) - K(x), its
+    half sides taking their deficits (-t/4 and -t/2) from t, and its slope
+    is K'(x) - K'(x + t/2). A margin within its rounding floor
+    4*eps*(2K(x + t/2) + K(x)), which bounds the error of its two terms
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 1-3), is zero. The margin must be positive at x0; the open end,
+    where it is -inf, is never evaluated. The solve stops at an iterate
+    within the floor, except at the first: a start can be there by the size
+    of the floor alone, so its Newton target, strictly inside the unchanged
+    bracket and not the start itself, is taken next (the start is the root
+    otherwise). A bracket that closes to adjacent floats first is a
+    ConvergenceError, or a BracketError if it closed onto the open end.
     """
     n = _check_sides(n)
-    x0 = inflection_point(n)
+    x0 = _inflection(n)
     flat = _flat(n)
     lo = flat - x0  # exact: x0 lies in [flat/2, flat)
-    flo = _margin_terms(n, x0, lo)[0]
+    h = 0.5 * lo  # the margin at t = lo, as the loop forms it
+    flo = 2.0 * _half_side(n, x0 + h, -0.5 * h) - _half_side(n, x0, -h)
     if not flo > 0.0:
         raise BracketError(f"margin not positive at the inflection point for n={n}", n=n)
     a = math.pi / n
-    t0 = 4.0 * a ** (1.0 / 3.0) - 4.0 * a
+    t = 4.0 * a ** (1.0 / 3.0) - 4.0 * a
     if n >= START_TERMS_FROM:
-        t0 += a ** (5.0 / 3.0) * (56.0 / 45.0 - 268.0 / 567.0 * a ** (2.0 / 3.0))
-    t, iterations, residual = _bisect(
-        lambda t: _margin_terms(n, flat - t, t), lo, flat, flo, -math.inf, t0, n,
-        lambda t: _margin_slope(n, flat - t, t),
-    )
+        t += a ** (5.0 / 3.0) * (56.0 / 45.0 - 268.0 / 567.0 * a ** (2.0 / 3.0))
+    hi, fhi = flat, -math.inf
+    if not lo < t < hi:
+        t = 0.5 * (lo + hi)
+    for i in range(1, MAX_ITERATIONS + 1):
+        x, h = flat - t, 0.5 * t
+        outer = 2.0 * _half_side(n, x + h, -0.5 * h)
+        k = _half_side(n, x, -h)
+        ft = outer - k
+        within = abs(ft) <= _FLOOR_EPS * (outer + k)
+        if within:
+            if i > 1:
+                break
+        elif math.copysign(1.0, ft) == math.copysign(1.0, flo):
+            lo, flo = t, ft
+        else:
+            hi, fhi = t, ft
+        s = _half_side_d1(n, x) - _half_side_d1(n, x + h)
+        if s and lo < (target := t - ft / s) < hi and target != t:
+            t = target
+        elif within:  # a start whose target stays put or leaves the bracket is the root
+            break
+        else:
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:  # two adjacent floats
+                break
+    residual = abs(ft)
+    if not within:
+        error = ConvergenceError if math.isfinite(flo) and math.isfinite(fhi) else BracketError
+        raise error(
+            f"no root within the floor on [{lo}, {hi}] after {i} iterations: f={flo} and {fhi}",
+            n=n, bracket=(lo, hi), residual=residual,
+        )
     if residual > RESIDUAL_TOL:
         raise ConvergenceError(
             f"critical-angle residual {residual} exceeds {RESIDUAL_TOL} for n={n}",
-            n=n, bracket=(lo, flat), residual=residual,
+            n=n, bracket=(flat - x0, flat), residual=residual,
         )
-    return ThresholdResult(n, flat - t, x0, n * t, iterations, residual)
+    return ThresholdResult(n, x, x0, n * t, i, residual)

@@ -203,10 +203,10 @@ def test_theta_max_sides(capsys):
 
 def test_theta_range_above_max_sides_rejected_before_solving(capsys, monkeypatch):
     def solved(*args):
-        raise AssertionError(f"margin evaluated at {args}")
+        raise AssertionError(f"half side evaluated at {args}")
 
     critical_angle.cache_clear()
-    monkeypatch.setattr(threshold, "_margin_terms", solved)
+    monkeypatch.setattr(threshold, "_half_side", solved)
     code, out, err = run_cli(capsys, "theta", "--range", "3", "1000001")
     assert code == 2
     assert out == ""

@@ -7,6 +7,7 @@ D = 2*sin((h + a)/2)*sin(d/2)/cos(h), the hyperbolic half side is
 acosh(cos(a)/sin(x/2)) form needs far more digits once 1 - ratio is tiny.
 """
 
+import hashlib
 import math
 import sys
 
@@ -213,6 +214,26 @@ HALF_SIDE_BITS = [
 def test_critical_angle_keeps_its_bits(n):
     critical_angle.cache_clear()
     assert critical_angle(n).critical_angle.hex() == THETA_BITS[n]
+
+
+# One SHA-256 over every field of the cold solves of the benchmark's theta
+# traffic: n = 3..2000, the 24 log-spaced n up to 1.5e5, and 158489, 501187
+# and 10**6, in increasing n, one line per n.
+THETA_TRAFFIC = sorted(
+    set(range(3, 2001)) | {round(2000 * 75 ** (j / 24)) for j in range(1, 25)}
+    | {158489, 501187, 10**6}
+)
+THETA_TRAFFIC_DIGEST = "63120cc46ca2a266c5cd3085d9bdf849d18b52942d0c9abb587882fc14494427"
+
+
+def test_critical_angle_keeps_its_bits_over_the_theta_traffic():
+    digest = hashlib.sha256()
+    for n in THETA_TRAFFIC:
+        r = critical_angle.__wrapped__(n)
+        fields = (r.critical_angle, r.inflection, r.max_area, r.residual)
+        digest.update(f"{n} {' '.join(map(float.hex, fields))} {r.iterations}\n".encode())
+    assert len(THETA_TRAFFIC) == 2025
+    assert digest.hexdigest() == THETA_TRAFFIC_DIGEST
 
 
 @pytest.mark.parametrize("n, x, expected", HALF_SIDE_BITS)
