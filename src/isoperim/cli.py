@@ -285,17 +285,22 @@ def _cmd_counterexample(args: argparse.Namespace) -> str:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Parser with every command, or with only `command`'s; the usage lists every name."""
-    parser = argparse.ArgumentParser(
-        prog="isoperim",
-        description="Perimeter-minimal configurations of regular n-gons in the "
-        "Euclidean, spherical and hyperbolic planes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(_HANDLERS) + "}" if command else None)
+    """The full parser, or `command`'s own, which parses what follows the command name."""
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="isoperim",
+            description="Perimeter-minimal configurations of regular n-gons in the "
+            "Euclidean, spherical and hyperbolic planes.",
+        )
+        add = parser.add_subparsers(dest="command", required=True).add_parser
+    elif command not in _HANDLERS:
+        raise ValueError(f"unknown command {command!r}")
+    else:
+        def add(name: str, help: str) -> argparse.ArgumentParser:
+            return argparse.ArgumentParser(prog=f"isoperim {name}")
 
     if command in (None, "perim"):
-        p = sub.add_parser("perim", help="area, angle, side and perimeter of one polygon")
+        p = add("perim", help="area, angle, side and perimeter of one polygon")
         p.add_argument("geometry", help="euclidean, spherical or hyperbolic")
         p.add_argument("n", type=int, help="side count")
         group = p.add_mutually_exclusive_group(required=True)
@@ -304,36 +309,36 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--degrees", action="store_true", help="angular inputs are degrees")
 
     if command in (None, "theta"):
-        t = sub.add_parser("theta", help="critical angle, inflection point and area bound")
-        t.add_argument("n", type=int, nargs="?", help="side count")
-        t.add_argument("--range", type=int, nargs=2, metavar=("LO", "HI"),
+        p = add("theta", help="critical angle, inflection point and area bound")
+        p.add_argument("n", type=int, nargs="?", help="side count")
+        p.add_argument("--range", type=int, nargs=2, metavar=("LO", "HI"),
                        help="emit CSV rows for every side count in [LO, HI]")
-        t.add_argument("--format", choices=("json", "csv"), default=None)
+        p.add_argument("--format", choices=("json", "csv"), default=None)
 
     if command in (None, "split"):
-        s = sub.add_parser("split", help="compare a split of an area against one polygon")
-        s.add_argument("geometry", help="euclidean, spherical or hyperbolic")
-        s.add_argument("n", type=int, help="side count")
-        s.add_argument("--total-area", type=float, required=True, dest="total_area")
-        s.add_argument("--areas", type=str, default=None,
+        p = add("split", help="compare a split of an area against one polygon")
+        p.add_argument("geometry", help="euclidean, spherical or hyperbolic")
+        p.add_argument("n", type=int, help="side count")
+        p.add_argument("--total-area", type=float, required=True, dest="total_area")
+        p.add_argument("--areas", type=str, default=None,
                        help="comma-separated part areas; must sum to the total")
 
     if command in (None, "scan"):
-        c = sub.add_parser("scan", help="sample an analysis function on a uniform grid")
-        c.add_argument("--phi", type=int, metavar="N", help="equal-split margin for side count N")
-        c.add_argument("--g", type=int, metavar="N", help="half-side kernel for side count N")
-        c.add_argument("--h", nargs=2, metavar=("N", "C"),
+        p = add("scan", help="sample an analysis function on a uniform grid")
+        p.add_argument("--phi", type=int, metavar="N", help="equal-split margin for side count N")
+        p.add_argument("--g", type=int, metavar="N", help="half-side kernel for side count N")
+        p.add_argument("--h", nargs=2, metavar=("N", "C"),
                        help="two-split objective for side count N and angle sum C")
-        c.add_argument("--format", choices=("json", "csv"), default="csv")
-        c.add_argument("--degrees", action="store_true", help="angular inputs are degrees")
+        p.add_argument("--format", choices=("json", "csv"), default="csv")
+        p.add_argument("--degrees", action="store_true", help="angular inputs are degrees")
 
     if command in (None, "counterexample"):
-        x = sub.add_parser("counterexample", help="two hyperbolic triangles against one")
-        x.add_argument("--epsilon", type=float, required=True,
+        p = add("counterexample", help="two hyperbolic triangles against one")
+        p.add_argument("--epsilon", type=float, required=True,
                        help="interior angle of the single thin triangle")
-        x.add_argument("--degrees", action="store_true", help="angular inputs are degrees")
+        p.add_argument("--degrees", action="store_true", help="angular inputs are degrees")
 
-    return parser
+    return p if command else parser
 
 
 _HANDLERS = {
@@ -347,17 +352,21 @@ _HANDLERS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
-    try:
-        args = parser.parse_args(argv)
+    command = argv[0] if argv and argv[0] in _HANDLERS else None
+    try:  # the command's own parser; the full one for -h or a missing or unknown command
+        args, extra = build_parser(command).parse_known_args(argv[1:] if command else argv)
+        if extra:  # the full parser's top-level "unrecognized arguments" error
+            build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.command = command or args.command
     try:
         sys.stdout.write(_HANDLERS[args.command](args))
         return 0
     except BrokenPipeError:
         # downstream consumer (e.g. head) closed the stream; not an error
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 0
     except ValueError as exc:  # DomainError and ArgumentError among them
         _emit_error(args.command, exc)

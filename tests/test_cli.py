@@ -687,46 +687,90 @@ PARITY_ARGVS = (
 )
 
 
-@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=" ".join)
+# Argvs where the full parser and a command's own could part ways: an
+# option first (--he abbreviates --help), "--" after the command name, a
+# negative-looking number and several unrecognized arguments.
+EDGE_ARGVS = [
+    ["--area=1"],
+    ["--he"],
+    ["perim", "--", "hyperbolic", "3", "--area", "1"],
+    ["theta", "3", "--", "4"],
+    ["perim", "hyperbolic", "-3", "--area", "1"],
+    ["theta", "--range", "3", "5", "--format", "json", "extra", "more"],
+]
+
+
+def full_parser_outcome(capsys, argv):
+    """The full parser on the whole argv: its namespace, or (code, stdout, stderr) where it exits."""
+    try:
+        return vars(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        return int(exc.code or 0), *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS + EDGE_ARGVS, ids=" ".join)
 def test_parser_for_one_command_reads_like_the_full_parser(capsys, monkeypatch, argv):
-    # help, usage errors and results match a parser built with every command;
-    # at 40 columns the top-level usage line wraps
+    # help and usage errors match the full parser's bytes, and a parse that
+    # succeeds hands the handler the full parser's namespace; at 40 columns
+    # the top-level usage line wraps
+    parsed = []
+    for name, handler in cli._HANDLERS.items():
+        monkeypatch.setitem(cli._HANDLERS, name,
+                            lambda args, handler=handler: parsed.append(vars(args)) or handler(args))
     for columns in ("80", "40"):
         monkeypatch.setenv("COLUMNS", columns)
+        parsed.clear()
         outcome = run_cli(capsys, *argv)
-        with monkeypatch.context() as m:
-            m.setattr(cli, "build_parser", lambda command=None: build_parser())
-            assert run_cli(capsys, *argv) == outcome
+        assert (parsed[0] if parsed else outcome) == full_parser_outcome(capsys, argv)
 
 
-@pytest.mark.parametrize("argv", [[], ["bogus"]], ids=repr)
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["bogus"]] + [[command, *args, "--bogus"] for command, args in _VALID.items()],
+    ids=repr,
+)
 def test_full_parser_errors_match_a_plain_build(capsys, monkeypatch, argv):
     # The full build's own errors against a parser built here, with no
-    # metavar: "required: command" and "argument command: invalid choice"
-    # keep their bytes, in whatever wording this Python's argparse uses.
+    # metavar: "required: command", "argument command: invalid choice" and
+    # the top-level "unrecognized arguments" keep their bytes, in whatever
+    # wording this Python's argparse uses. The plain subparsers take no
+    # arguments, so they are handed only the command and --bogus.
     monkeypatch.setenv("COLUMNS", "80")
     plain = argparse.ArgumentParser(prog="isoperim")
     sub = plain.add_subparsers(dest="command", required=True)
     for name in ("perim", "theta", "split", "scan", "counterexample"):
         sub.add_parser(name)
     with pytest.raises(SystemExit) as info:
-        plain.parse_args(argv)
+        plain.parse_args([argv[0], "--bogus"] if "--bogus" in argv else argv)
     expected = (info.value.code, "", capsys.readouterr().err)
     assert run_cli(capsys, *argv) == expected
 
 
 def test_parser_for_one_command_has_only_its_arguments(capsys):
+    # a command's own parser reads the arguments after the command name, as
+    # that command's subparser in the full parser does
     parser = build_parser("perim")
-    assert parser.parse_args(["perim", "hyperbolic", "3", "--area", "1"]).area == 1.0
+    argv = ["hyperbolic", "3", "--area", "1"]
+    assert vars(parser.parse_args(argv)) == {
+        "geometry": "hyperbolic", "n": 3, "area": 1.0, "angle": None, "degrees": False,
+    }
+    assert vars(build_parser().parse_args(["perim", *argv])) == {
+        "command": "perim", **vars(parser.parse_args(argv)),
+    }
     with pytest.raises(SystemExit):
-        parser.parse_args(["theta", "3"])
-    assert "invalid choice: 'theta'" in capsys.readouterr().err
+        parser.parse_args([*argv, "--range", "3", "4"])
+    assert "isoperim perim: error: unrecognized arguments: --range 3 4" in capsys.readouterr().err
     assert build_parser().parse_args(["theta", "3"]).n == 3
+    with pytest.raises(ValueError, match="unknown command 'bogus'"):
+        build_parser("bogus")
 
 
 @pytest.mark.parametrize(
     "argv,count",
-    [([command, *args], 2) for command, args in _VALID.items()] + [(["-h"], 6), (["bogus"], 6)],
+    [([command, *args], 1) for command, args in _VALID.items()]
+    + [(["-h"], 6), (["bogus"], 6)]
+    # the command's own parser, then the full one for the top-level error
+    + [([command, *args, "--bogus"], 1 + 6) for command, args in _VALID.items()],
     ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
 )
 def test_main_builds_only_the_parsers_it_uses(capsys, monkeypatch, argv, count):
@@ -779,6 +823,19 @@ def test_reader_closing_the_pipe_early_is_not_an_error():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count")
+def test_closed_stdout_pipe_leaks_no_descriptor(monkeypatch):
+    # in process, main points a stdout whose reader is gone at the null
+    # device and closes the descriptor it opened for that
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(["scan", "--phi", "3"]) == 0
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_import_leaves_numpy_unloaded():
