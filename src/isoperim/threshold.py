@@ -7,20 +7,24 @@ becomes cos^2(x0/2) = sin(pi/n). The equal-split margin has a single root
 below x0, the critical angle, solved for in the deficit t = flat - x =
 area/n on [flat - x0, flat), where the margin falls from positive to -inf;
 its half sides take their deficits from t, and max_area is n*t. With
-a = pi/n the start is the root's expansion
-t0 = 4*a**(1/3) - 4*a + (56/45)*a**(5/3) - (268/567)*a**(7/3), its
-coefficients observed in high-precision roots, not derived; below n = 8 it
-is the first two terms, or the midpoint where those are outside (n = 3).
+e = (pi/n)**(1/3) the root is
+t = e*(4 - 4e**2 + (56/45)e**4 - (268/567)e**6 + (1352/8019)e**10
+- (47504/426465)e**12) + O(e**17), its e**9 and e**15 terms zero: the
+margin's series in e inverted order by order (de Bruijn, Asymptotic Methods
+in Analysis, ch. 2; tests/test_threshold.py derives it in fractions). From
+n = SERIES_FROM the start is that series; below it the first four terms,
+and below n = 8 the first two, or the midpoint where those are outside
+(n = 3).
 Each step is a Newton step on the margin's closed-form slope where that
 lands strictly inside the sign bracket, and a bisection step otherwise, so
 the iteration converges unconditionally and, near the root, quadratically;
-it stops at the margin's own rounding floor (see critical_angle for the
-start's one Newton step). The loop in critical_angle is the one root
-finder; it calls the scalar kernels _half_side and _half_side_d1 itself.
-Over every n in [3, 10**6] a solve takes 1 iteration (the start's step
-does not move it) for 397501 n, 2 for 602352, and at most 7; over n in
-[3, 2000] a mean of 2.09. The result keeps x0, so only critical_angle is
-memoized.
+it stops at the first iterate, the start included, whose margin is within
+its own rounding floor. The loop in critical_angle is the one root finder;
+it calls the scalar kernels _half_side and _half_side_d1 itself.
+Over every n in [3, 10**6] a solve takes 1 iteration for each n from
+SERIES_FROM on (the series start within the floor), 2 for 852 n, 3 for 130,
+and at most 7; over n in [3, 2000] a mean of 1.59. The result keeps x0, so
+only critical_angle is memoized.
 """
 
 from __future__ import annotations
@@ -44,6 +48,14 @@ _FLOOR_EPS = 4.0 * sys.float_info.epsilon
 # than from the two-term start (a mean of 5.2 ulp, against 6.8), and n = 8
 # and 12 kept their bits.
 START_TERMS_FROM = 8
+# From this n on the start is the root's series. Swept against mpmath over
+# every n in [300, 5000): the floor takes that start from n = 479, but below
+# 600 it is up to 3.3e-14 off in max_area (the solve 9.8e-15); from 1000 it
+# stays within 8.1e-16 (the solve reads up to 2.2e-14 in [1000, 2000)).
+SERIES_FROM = 1000
+# t/e = c0 + c1*e**2 + ... + c6*e**12 for e = (pi/n)**(1/3): the e**1 to e**13
+# terms of t, whose e**9 and e**15 terms are zero.
+SERIES = (4.0, -4.0, 56.0 / 45.0, -268.0 / 567.0, 0.0, 1352.0 / 8019.0, -47504.0 / 426465.0)
 
 
 @_record
@@ -52,9 +64,17 @@ class ThresholdResult:
 
     Splitting helps if and only if the interior angle is below
     `critical_angle`; equivalently the total area exceeds `max_area`.
-    For every n in [3, 10**6], `critical_angle` is within 1e-13 relative
-    error of the exact root and `max_area` within 2.5e-12 (measured against
-    mpmath over every such n: at worst 4.7e-14 and 2.26e-12, at n = 765935).
+    For every n in [SERIES_FROM, 10**6], `critical_angle` is within 4e-16
+    relative error of the exact root and `max_area` within 1e-15 (measured
+    against mpmath over every such n, each the series start accepted: at
+    worst 2.9e-16 at n = 10721 and 8.1e-16 at n = 1017). Below SERIES_FROM
+    the solve's bounds hold: 1e-13 and 2.5e-12 (measured over every n in
+    [3, 10**6] when the solve ran at each: at worst 4.7e-14 and 2.26e-12,
+    at n = 765935). A series start outside the floor would go on through
+    the solve; no n in [SERIES_FROM, 10**6] does, and that path was checked
+    only at n = 1000, 10**4 and 765935 with a perturbed coefficient.
+    `iterations` counts the iterates evaluated, the start included: 1 for an
+    accepted series start, whose `residual` is the margin there.
     """
 
     n: int
@@ -89,11 +109,10 @@ def critical_angle(n: int) -> ThresholdResult:
     4*eps*(2K(x + t/2) + K(x)), which bounds the error of its two terms
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     ch. 1-3), is zero. The margin must be positive at x0; the open end,
-    where it is -inf, is never evaluated. The solve stops at an iterate
-    within the floor, except at the first: a start can be there by the size
-    of the floor alone, so its Newton target, strictly inside the unchanged
-    bracket and not the start itself, is taken next (the start is the root
-    otherwise). A bracket that closes to adjacent floats first is a
+    where it is -inf, is never evaluated. The solve stops at the first
+    iterate within the floor, the start included, with no slope evaluated
+    there: a series start within it is the root at one margin evaluation.
+    A bracket that closes to adjacent floats first is a
     ConvergenceError, or a BracketError if it closed onto the open end.
     """
     n = _check_sides(n)
@@ -105,9 +124,18 @@ def critical_angle(n: int) -> ThresholdResult:
     if not flo > 0.0:
         raise BracketError(f"margin not positive at the inflection point for n={n}", n=n)
     a = math.pi / n
-    t = 4.0 * a ** (1.0 / 3.0) - 4.0 * a
-    if n >= START_TERMS_FROM:
-        t += a ** (5.0 / 3.0) * (56.0 / 45.0 - 268.0 / 567.0 * a ** (2.0 / 3.0))
+    if n >= SERIES_FROM:
+        c0, c1, c2, c3, c4, c5, c6 = SERIES
+        e = a ** (1.0 / 3.0)
+        # pow's rounded exponent leaves e up to 2.6 ulp off; one Newton step
+        # on e**3 = a, 0.7 ulp (math.cbrt, new in Python 3.11, 2.7 ulp)
+        e -= (e - a / (e * e)) / 3.0
+        e2 = e * e
+        t = e * (c0 + e2 * (c1 + e2 * (c2 + e2 * (c3 + e2 * (c4 + e2 * (c5 + e2 * c6))))))
+    else:
+        t = 4.0 * a ** (1.0 / 3.0) - 4.0 * a
+        if n >= START_TERMS_FROM:
+            t += a ** (5.0 / 3.0) * (56.0 / 45.0 - 268.0 / 567.0 * a ** (2.0 / 3.0))
     hi, fhi = flat, -math.inf
     if not lo < t < hi:
         t = 0.5 * (lo + hi)
@@ -118,17 +146,14 @@ def critical_angle(n: int) -> ThresholdResult:
         ft = outer - k
         within = abs(ft) <= _FLOOR_EPS * (outer + k)
         if within:
-            if i > 1:
-                break
-        elif math.copysign(1.0, ft) == math.copysign(1.0, flo):
+            break
+        if math.copysign(1.0, ft) == math.copysign(1.0, flo):
             lo, flo = t, ft
         else:
             hi, fhi = t, ft
         s = _half_side_d1(n, x) - _half_side_d1(n, x + h)
         if s and lo < (target := t - ft / s) < hi and target != t:
             t = target
-        elif within:  # a start whose target stays put or leaves the bracket is the root
-            break
         else:
             t = 0.5 * (lo + hi)
             if not lo < t < hi:  # two adjacent floats

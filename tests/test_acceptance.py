@@ -247,9 +247,10 @@ def test_criterion_8_closed_form_values():
 
 
 def test_criterion_9_max_area_asymptote():
-    # Observed here, not derived: max_area(n) approaches
-    # 4*pi**(1/3)*n**(2/3) - 4*pi from above, with a remainder that falls
-    # like n**(-2/3) (read 0.0832, 0.0180, 0.0039 and 0.00084 at 10**3..10**6)
+    # n times the root's series in threshold: max_area(n) approaches
+    # 4*pi**(1/3)*n**(2/3) - 4*pi from above, with a remainder
+    # (56/45)*pi**(5/3)*n**(-2/3) + ... that falls like n**(-2/3) (read
+    # 0.0832, 0.0180, 0.0039 and 0.00084 at 10**3..10**6)
     start = time.perf_counter()
     rest = [
         critical_angle(n).max_area - (4.0 * math.pi ** (1 / 3) * n ** (2 / 3) - 4.0 * math.pi)

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -47,6 +48,12 @@ def solve(n):
 def start_of(n):
     """The solver's start t0 for n."""
     a = math.pi / n
+    if n >= threshold.SERIES_FROM:
+        c0, c1, c2, c3, c4, c5, c6 = threshold.SERIES
+        e = a ** (1.0 / 3.0)
+        e -= (e - a / (e * e)) / 3.0
+        e2 = e * e
+        return e * (c0 + e2 * (c1 + e2 * (c2 + e2 * (c3 + e2 * (c4 + e2 * (c5 + e2 * c6))))))
     t0 = 4.0 * a ** (1.0 / 3.0) - 4.0 * a
     if n >= threshold.START_TERMS_FROM:
         t0 += a ** (5.0 / 3.0) * (56.0 / 45.0 - 268.0 / 567.0 * a ** (2.0 / 3.0))
@@ -355,78 +362,169 @@ def test_cold_solves_evaluate_the_slope_only_where_a_step_is_taken(monkeypatch):
         assert margins[-1][0] not in slopes  # the last margin is at the accepted t
         assert (len(margins), len(slopes)) == (res.iterations + 1, res.iterations - 1)
         margin_count, slope_count = margin_count + len(margins), slope_count + len(slopes)
-    # measured 3.09 and 1.09 (4.26 and 3.26 from the two-term start)
-    assert margin_count / len(ns) <= 3.2 and slope_count / len(ns) <= 1.2
+    # measured 2.59 and 0.59, the 1001 n from SERIES_FROM on at 2 and 0 (3.09
+    # and 1.09 with the four-term start up to 2000, 4.26 and 3.26 with the
+    # two-term start)
+    assert margin_count / len(ns) <= 2.6 and slope_count / len(ns) <= 0.6
+
+
+# ------------------------------------------------ the series of the root
+#
+# Truncated power series in e = (pi/n)**(1/3), as lists of Fractions: the
+# coefficient of e**k at index k, through e**degree.
+
+# t/e's coefficients of e**0, e**2, ..., e**12, as threshold.SERIES rounds
+# them, and the first one it leaves out: t's e**15 coefficient is zero, its
+# e**17 coefficient this
+SERIES_TERMS = [4, -4, Fraction(56, 45), Fraction(-268, 567), 0, Fraction(1352, 8019),
+                Fraction(-47504, 426465)]
+SERIES_REMAINDER = Fraction(289976, 5019165)
+
+
+def _mul(p, q, degree):
+    r = [Fraction(0)] * (degree + 1)
+    for i, pi in enumerate(p[: degree + 1]):
+        if pi:
+            for j, qj in enumerate(q[: degree + 1 - i]):
+                r[i + j] += pi * qj
+    return r
+
+
+def _compose(coefficients, p, degree):
+    """sum_k coefficients[k]*p**k, for p with no constant term."""
+    r, power = [Fraction(0)] * (degree + 1), [Fraction(1)] + [Fraction(0)] * degree
+    for c in coefficients[: degree + 1]:
+        r = [x + c * y for x, y in zip(r, power)]
+        power = _mul(power, p, degree)
+    return r
+
+
+def _sqrt(p):
+    """The square root of p, whose constant term is the square of a fraction."""
+    r0 = Fraction(math.isqrt(p[0].numerator), math.isqrt(p[0].denominator))
+    assert r0 * r0 == p[0]
+    r = [r0]
+    for k in range(1, len(p)):
+        r.append((p[k] - sum(r[i] * r[k - i] for i in range(1, k))) / (2 * r0))
+    return r
+
+
+def series_margin(t, degree):
+    """The margin 2K(t/2) - K(t) for a deficit series t, with a = e**3.
+
+    K(s) = acosh(cos(a)/cos(a + s/2)) = sqrt(2w)*F(w), where 1 + w is the
+    quotient and F(w) = 2F1(1/2, 1/2; 3/2; -w/2); w starts at e**2, so
+    sqrt(2w) = e*sqrt(2w/e**2).
+    """
+    top = degree + 2  # sqrt(2w) loses two degrees to the shift
+    fact = [Fraction(1, math.factorial(k)) for k in range(top + 1)]
+    cos = [(-1) ** (k // 2) * f if k % 2 == 0 else 0 for k, f in enumerate(fact)]
+    hyp = [Fraction(1)]
+    for k in range(top):
+        hyp.append(hyp[-1] * Fraction(-1, 2) * Fraction(2 * k + 1, 2) ** 2 / (Fraction(2 * k + 3, 2) * (k + 1)))
+    a = [Fraction(int(k == 3)) for k in range(top + 1)]
+    cos_a = _compose(cos, a, top)
+
+    def k(s):
+        cos_u = _compose(cos, [x + y / 2 for x, y in zip(a, s)], top)
+        inverse = [Fraction(1)]  # 1/cos(u), cos_u starting at 1
+        for j in range(1, top + 1):
+            inverse.append(-sum(cos_u[i] * inverse[j - i] for i in range(1, j + 1)))
+        w = _mul(cos_a, inverse, top)
+        w[0] -= 1
+        assert w[0] == w[1] == 0
+        root = [Fraction(0)] + _sqrt([2 * x for x in w[2:]])  # sqrt(2w), through e**(top - 1)
+        return _mul(root, _compose(hyp, w, top), degree)
+
+    return [2 * x - y for x, y in zip(k([x / 2 for x in t]), k(t))]
+
+
+def derived_series(terms):
+    """The first `terms` coefficients c of t = e*(c[0] + c[1]*e**2 + ...).
+
+    The margin of t = c0*e is (1 - c0**3/64)*e**3 + ..., so c0 = 4; a change
+    d*e**(2k + 1) in t changes the margin first at e**(2k + 3), by -3d/4, so
+    c[k] is 4/3 of the margin's e**(2k + 3) coefficient with c[k] = 0.
+    """
+    degree = 2 * terms + 1
+    c = [Fraction(4)]
+    for k in range(1, terms):
+        t = [Fraction(0)] * (degree + 1)
+        for j, cj in enumerate(c):
+            t[2 * j + 1] = cj
+        margin = series_margin(t, degree)
+        assert not any(margin[: 2 * k + 3])  # zero through e**(2k + 2)
+        c.append(Fraction(4, 3) * margin[2 * k + 3])
+    return c
+
+
+def test_series_coefficients_derived_exactly():
+    # the margin vanishes through e**17 for the solver's six nonzero terms and
+    # zero e**9 and e**15 terms, so they are the root's series through e**15
+    # (de Bruijn, Asymptotic Methods in Analysis, ch. 2)
+    assert derived_series(9) == SERIES_TERMS + [0, SERIES_REMAINDER]
+    assert threshold.SERIES == tuple(map(float, SERIES_TERMS))
+    t = [Fraction(0)] * 18
+    for k, ck in enumerate(SERIES_TERMS):
+        t[2 * k + 1] = Fraction(ck)
+    assert not any(series_margin(t, 17))
 
 
 def test_start_coefficients_from_high_precision_roots():
-    # the start's third and fourth terms, (56/45)*a**(5/3) and
-    # -(268/567)*a**(7/3) for a = pi/n, as observed in 80-digit roots of the
-    # margin in t: r(n) = t - 4*a**(1/3) + 4*a divided by a**(5/3) is
-    # 56/45 + c*a**(2/3) + O(a**(4/3)), so two side counts give both numbers
-    quotients = []
-    with mp.workdps(80):
-        for n in (10**8, 10**10):
+    # independently of derived_series: in 100-digit roots of the margin in t,
+    # t minus its six-term series is SERIES_REMAINDER*e**17 + O(e**19), for
+    # e = (pi/n)**(1/3): so it falls like a**(17/3) in a = pi/n, which a wrong
+    # coefficient of e**k, k <= 15, would turn into a**(k/3). Measured: the
+    # quotient 7.4e-6, 3.4e-7 and 1.6e-8 relative below SERIES_REMAINDER, as
+    # an e**19 term of -0.043 gives. (At 80 digits the margin's cancellation
+    # puts the quotient at 10**12 6.4e-4 off.)
+    remainders = []
+    with mp.workdps(100):
+        terms = [mp.mpf(ck.numerator) / ck.denominator for ck in map(Fraction, SERIES_TERMS)]
+        for n in (10**8, 10**10, 10**12):
             a = mp.pi / n
-            flat, c = mp.pi - 2 * a, mp.cos(a)
+            e, c = mp.cbrt(a), mp.cos(a)
             margin = lambda t: (  # noqa: E731
-                2 * mp.acosh(c / mp.sin((flat - t / 2) / 2)) - mp.acosh(c / mp.sin((flat - t) / 2))
+                2 * mp.acosh(c / mp.cos(a + t / 4)) - mp.acosh(c / mp.cos(a + t / 2))
             )
-            t = mp.findroot(margin, 4 * mp.cbrt(a) - 4 * a, tol=mp.mpf(10) ** -70)
-            quotients.append(((t - 4 * mp.cbrt(a) + 4 * a) / a ** (mp.mpf(5) / 3), mp.cbrt(a**2)))
-        (q1, a1), (q2, a2) = quotients
-        third = (q2 * a1 - q1 * a2) / (a1 - a2)
-        fourth = ((q2 - third) / a2 * a1 - (q1 - third) / a1 * a2) / (a1 - a2)
-        assert abs(third - mp.mpf(56) / 45) <= 1e-8
-        assert abs(fourth + mp.mpf(268) / 567) <= 1e-8
+            six = e * mp.polyval(terms[::-1], e**2)
+            t = mp.findroot(margin, six, tol=mp.mpf(10) ** -95)
+            remainders.append((t - six, a, e))
+        for r, a, e in remainders:
+            assert abs(r / e**17 / SERIES_REMAINDER - 1) <= 1e-5
+        for (ra, aa, _), (rb, ab, _) in zip(remainders, remainders[1:]):
+            assert abs(mp.log(rb / ra) / mp.log(ab / aa) - mp.mpf(17) / 3) <= 1e-5
 
 
-# Iterations with the stop at the t-form margin's rounding floor, from the
-# four-term start: at 10**6 the start is within the floor and its Newton step
-# does not move it.
-@pytest.mark.parametrize("n, bound", [(1000, 2), (158489, 2), (501187, 2), (10**6, 1)])
-def test_solve_stops_at_rounding_floor(monkeypatch, n, bound):
+# From SERIES_FROM the start is the series, within the floor at every n to
+# 10**6, so the solve stops at its first evaluation
+@pytest.mark.parametrize("n", [threshold.SERIES_FROM, 10**4, 158489, 501187, 765935, 10**6])
+def test_series_start_is_the_root_at_one_margin_evaluation(monkeypatch, n):
     spy = Spy(monkeypatch)
     res = solve(n)
-    assert res.iterations <= bound
-    x, margin, floor = spy.margins[-1]
-    assert x == res.critical_angle and abs(margin) == res.residual <= floor
+    t = start_of(n)
+    (x0, _, _), (x, margin, floor) = spy.margins  # the check at x0, then one
+    assert (x0, x) == (inflection_point(n), domain_hi(n) - t)
+    assert spy.slopes == []
+    assert (res.critical_angle, res.max_area, res.iterations) == (x, n * t, 1)
+    assert res.residual == abs(margin) <= floor
 
 
-def test_solve_polishes_a_start_within_the_floor(monkeypatch):
-    # at n = 158489 the start t0 is within the floor, 3.8e-14 above the root
-    n = 158489
-    flat, t0 = domain_hi(n), start_of(n)
-    plain = solve(n)
-
-    # its Newton target is the root: one slope, at the start
+@pytest.mark.parametrize("n", [threshold.SERIES_FROM, 10**4, 765935])
+def test_a_wrong_series_falls_back_to_the_solve(monkeypatch, n):
+    # dropping the e**5 term puts the start 1e-4 (at SERIES_FROM) to 2e-8 (at
+    # 765935) off the root, outside the floor: the loop goes on from it
+    series = solve(n)
+    monkeypatch.setattr(threshold, "SERIES", threshold.SERIES[:2] + (0.0,) + threshold.SERIES[3:])
+    t = start_of(n)
     spy = Spy(monkeypatch)
-    assert solve(n) == plain and plain.iterations == 2
-    (_, _, _), (start, margin, floor), (root, _, _) = spy.margins
-    assert start == flat - t0 and abs(margin) <= floor and root == plain.critical_angle
-    assert spy.slopes == [start]
-
-    # a target outside the floor: a first slope of the wrong sign and 1e6
-    # times too shallow sends it further above the root than the start; the
-    # start did not narrow the bracket to below itself, so that target is
-    # evaluated and the solve goes on from it
-    spy = Spy(monkeypatch, first_slope=-1e-6)
     res = solve(n)
-    angles = [x for x, _, _ in spy.margins]
-    assert angles[1] == start and angles[2] < start
-    assert abs(spy.margins[2][1]) > spy.margins[2][2]
-    assert res.iterations == len(angles) - 1 and res.critical_angle == angles[-1]
-    assert res.critical_angle == pytest.approx(plain.critical_angle, rel=THETA_REL_TOL)
-    assert spy.slopes == angles[1:-1]  # never at the accepted iterate
-
-    # a target that rounds onto the start (a slope 1e30 times too steep),
-    # no slope, or a target outside the bracket: the start is the root
-    for first_slope in (1e30, 0.0, 1e-300):
-        spy = Spy(monkeypatch, first_slope=first_slope)
-        res = solve(n)
-        assert [x for x, _, _ in spy.margins] == [inflection_point(n), start]
-        assert spy.slopes == [start]
-        assert (res.critical_angle, res.max_area, res.iterations) == (start, n * t0, 1)
+    (_, _, _), (x, margin, floor), *_ = spy.margins
+    assert x == domain_hi(n) - t and abs(margin) > floor
+    assert res.iterations > 1 and spy.slopes == [m[0] for m in spy.margins[1:-1]]
+    assert res.critical_angle == pytest.approx(series.critical_angle, rel=THETA_REL_TOL)
+    assert res.max_area == pytest.approx(series.max_area, rel=AREA_REL_TOL)
+    assert_near_the_root(res, THETA_REL_TOL, AREA_REL_TOL)
 
 
 def mp_margin(n: int, x: mp.mpf) -> mp.mpf:
@@ -434,13 +532,28 @@ def mp_margin(n: int, x: mp.mpf) -> mp.mpf:
     return 2 * mp_half_side(n, x / 2 + mp.pi / 2 - mp.pi / n) - mp_half_side(n, x)
 
 
-# Measured worst cases over every n in [3, 10^6], against mpmath at 40
+# The solve's bounds, below SERIES_FROM and for a start that falls back to
+# it. Its measured worst cases over every n in [3, 10^6], against mpmath at 40
 # digits: 4.71e-14 for theta and 2.256e-12 for max_area, both at n = 765935
 # (680172 reads 1.08e-14 and 5.0e-13). Both
 # are the margin's rounding noise over its slope in t; max_area = n*t keeps
 # t's relative error, which no cancellation against (n - 2)*pi inflates.
 THETA_REL_TOL = 1e-13
 AREA_REL_TOL = 2.5e-12
+# The series' bounds, from SERIES_FROM on. Measured worst cases over every n
+# in [SERIES_FROM, 10^6] against mpmath at 40 digits, each the series start
+# accepted: 2.94e-16 for theta (2.0 ulp, at n = 10721) and 8.07e-16 for
+# max_area (4.1 ulp, at n = 1017). At SERIES_FROM the left-out e**17 term
+# is 6.5e-16 of t; from n = 2000 max_area reads at most 4e-16.
+SERIES_THETA_REL_TOL = 4e-16
+SERIES_AREA_REL_TOL = 1e-15
+
+
+def rel_tols(n: int) -> tuple[float, float]:
+    """The stated relative error bounds of theta and max_area at n."""
+    if n >= threshold.SERIES_FROM:
+        return SERIES_THETA_REL_TOL, SERIES_AREA_REL_TOL
+    return THETA_REL_TOL, AREA_REL_TOL
 
 
 def mp_root(n: int, theta: float) -> mp.mpf:
@@ -452,7 +565,19 @@ def mp_root(n: int, theta: float) -> mp.mpf:
     return mp.findroot(lambda x: mp_margin(n, x), (lo, hi), solver="anderson")
 
 
+def assert_near_the_root(res, theta_tol: float, area_tol: float) -> None:
+    """res's theta and max_area within these relative errors of mpmath's root."""
+    n = res.n
+    with mp.workdps(40):
+        root = mp_root(n, res.critical_angle)
+        assert abs((res.critical_angle - root) / root) <= theta_tol
+        area = (n - 2) * mp.pi - n * root
+        assert abs((res.max_area - area) / area) <= area_tol
+
+
 @given(log_n=st.floats(min_value=math.log(3), max_value=math.log(10**6)))
+@example(log_n=math.log(10721))
+@example(log_n=math.log(42980))
 @example(log_n=math.log(125304))
 @example(log_n=math.log(501187))
 @example(log_n=math.log(680172))
@@ -464,10 +589,13 @@ def test_critical_angle_matches_high_precision_root(log_n):
     theta = critical_angle(n).critical_angle
     with mp.workdps(40):
         root = mp_root(n, theta)
-        assert abs((theta - root) / root) <= THETA_REL_TOL
+        assert abs((theta - root) / root) <= rel_tols(n)[0]
 
 
 @given(log_n=st.floats(min_value=math.log(3), max_value=math.log(10**6)))
+@example(log_n=math.log(999))
+@example(log_n=math.log(1004))
+@example(log_n=math.log(1017))
 @example(log_n=math.log(599885))
 @example(log_n=math.log(667986))
 @example(log_n=math.log(680172))
@@ -479,4 +607,12 @@ def test_max_area_matches_high_precision_root(log_n):
     res = critical_angle(n)
     with mp.workdps(40):
         area = (n - 2) * mp.pi - n * mp_root(n, res.critical_angle)
-        assert abs((res.max_area - area) / area) <= AREA_REL_TOL
+        assert abs((res.max_area - area) / area) <= rel_tols(n)[1]
+
+
+@pytest.mark.parametrize("n", [threshold.SERIES_FROM - 1, threshold.SERIES_FROM])
+def test_both_sides_of_the_series_threshold(monkeypatch, n):
+    spy = Spy(monkeypatch)
+    res = solve(n)
+    assert (res.iterations == 1 and not spy.slopes) == (n >= threshold.SERIES_FROM)
+    assert_near_the_root(res, *rel_tols(n))
