@@ -105,13 +105,14 @@ def _record(
     return text + "\n"
 
 
-def _emit_error(command: str, exc: Exception) -> None:
+def _emit_error(command: str, exc: Exception) -> str:
+    """One JSON error record and its newline."""
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "error": {"type": type(exc).__name__, "message": str(exc)},
     }
-    print(json.dumps(record, separators=(",", ":")), file=sys.stderr)
+    return json.dumps(record, separators=(",", ":")) + "\n"
 
 
 def _csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
@@ -368,12 +369,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 0
-    except ValueError as exc:  # DomainError and ArgumentError among them
-        _emit_error(args.command, exc)
-        return 2
-    except (ConvergenceError, BracketError) as exc:
-        _emit_error(args.command, exc)
-        return 3
+    except (ValueError, ConvergenceError, BracketError) as exc:
+        sys.stderr.write(_emit_error(args.command, exc))
+        return 2 if isinstance(exc, ValueError) else 3  # DomainError, ArgumentError: 2
 
 
 if __name__ == "__main__":

@@ -261,6 +261,7 @@ def counterexample_triangles(epsilon: float) -> CounterexampleResult:
         raise DomainError(f"epsilon must lie in (0, {math.pi / 6.0}), got {epsilon}")
     if not math.pi - 3.0 * epsilon < math.pi:
         raise DomainError(f"epsilon {epsilon} is too small: pi - 3*epsilon rounds to pi")
+    epsilon = float(epsilon)  # after the checks, whose text prints the caller's value
     config = Configuration(
         Geometry.HYPERBOLIC, 3, (math.pi / 2.0, math.pi / 2.0 - 3.0 * epsilon)
     )
@@ -452,19 +453,3 @@ def _grid_result(geometry, n, total, R, perimeter, areas):
         )
     return Configuration(geometry, n, areas), perimeter
 
-
-__all__ = [
-    "Configuration",
-    "CounterexampleResult",
-    "MergeStep",
-    "SplitAssessment",
-    "Verdict",
-    "assess_configuration",
-    "assess_two_split",
-    "brute_force_min",
-    "counterexample_triangles",
-    "euclidean_pythagoras_check",
-    "merge_chain",
-    "total_area",
-    "total_perimeter",
-]

@@ -94,11 +94,6 @@ def _angle(geometry: Geometry, n: int, area):
     return ((n - 2) * math.pi + geometry.curvature * area) / n
 
 
-def _area(geometry: Geometry, n: int, angle: float) -> float:
-    top = (n - 2) * math.pi  # a curved plane's area; area_from_angle without its checks
-    return n * angle - top if geometry.curvature > 0 else top - n * angle
-
-
 def area_from_angle(geometry: Geometry, n: int, angle: float) -> float:
     """Area of the regular n-gon with the given interior angle (curved planes only).
 
@@ -118,7 +113,8 @@ def area_from_angle(geometry: Geometry, n: int, angle: float) -> float:
         raise DomainError(
             f"hyperbolic interior angle must lie in (0, {flat}), got {angle}"
         )
-    area = _area(geometry, n, angle)
+    top = (n - 2) * math.pi
+    area = n * angle - top if k > 0 else top - n * angle
     if not lo < area < hi:
         raise DomainError(
             f"{geometry.kind} interior angle {angle} for n={n} rounds to area {area},"
@@ -169,7 +165,7 @@ class RegularPolygon:
 
     @property
     def angle(self) -> float:
-        return angle_from_area(self.geometry, self.n, self.area)
+        return _angle(self.geometry, self.n, self.area)  # __init__ checked the area
 
     @property
     def side(self) -> float:

@@ -124,8 +124,8 @@ def critical_angle(n: int) -> ThresholdResult:
     if not flo > 0.0:
         raise BracketError(f"margin not positive at the inflection point for n={n}", n=n)
     a = math.pi / n
+    c0, c1, c2, c3, c4, c5, c6 = SERIES
     if n >= SERIES_FROM:
-        c0, c1, c2, c3, c4, c5, c6 = SERIES
         e = a ** (1.0 / 3.0)
         # pow's rounded exponent leaves e up to 2.6 ulp off; one Newton step
         # on e**3 = a, 0.7 ulp (math.cbrt, new in Python 3.11, 2.7 ulp)
@@ -133,9 +133,9 @@ def critical_angle(n: int) -> ThresholdResult:
         e2 = e * e
         t = e * (c0 + e2 * (c1 + e2 * (c2 + e2 * (c3 + e2 * (c4 + e2 * (c5 + e2 * c6))))))
     else:
-        t = 4.0 * a ** (1.0 / 3.0) - 4.0 * a
+        t = c0 * a ** (1.0 / 3.0) + c1 * a
         if n >= START_TERMS_FROM:
-            t += a ** (5.0 / 3.0) * (56.0 / 45.0 - 268.0 / 567.0 * a ** (2.0 / 3.0))
+            t += a ** (5.0 / 3.0) * (c2 + c3 * a ** (2.0 / 3.0))
     hi, fhi = flat, -math.inf
     if not lo < t < hi:
         t = 0.5 * (lo + hi)
@@ -147,12 +147,12 @@ def critical_angle(n: int) -> ThresholdResult:
         within = abs(ft) <= _FLOOR_EPS * (outer + k)
         if within:
             break
-        if math.copysign(1.0, ft) == math.copysign(1.0, flo):
+        if ft > 0.0:  # flo > 0 throughout
             lo, flo = t, ft
         else:
             hi, fhi = t, ft
         s = _half_side_d1(n, x) - _half_side_d1(n, x + h)
-        if s and lo < (target := t - ft / s) < hi and target != t:
+        if s and lo < (target := t - ft / s) < hi:  # t is lo or hi: an inside target moves
             t = target
         else:
             t = 0.5 * (lo + hi)

@@ -860,6 +860,14 @@ def test_brute_force_skips_rows_that_cannot_win(scored_rows):
         best, p = brute_force_min(EUC, 4, 1.0, k_max, R)
         assert (best.areas, p) == ((1.0,), P[R])
         assert sum(scored_rows) == rows_scored(P, k_max, P[R]) == 1
+    # Hyperbolic hexagons of total 3.0, below max_area(6) = 8.75: the single
+    # hexagon wins, and at k_max = 4 the suffix-minimum bound (1) skips every
+    # row after the first, which the line alone does not (246 rows without it).
+    P = [0.0] + [perimeter(RegularPolygon(HYP, 6, u * (3.0 / R))) for u in range(1, R + 1)]
+    scored_rows.clear()
+    best, p = brute_force_min(HYP, 6, 3.0, 4, R)
+    assert (best.areas, p) == ((R * (3.0 / R),), P[R])
+    assert sum(scored_rows) == rows_scored(P, 4, P[R]) == 1
 
 
 @pytest.mark.parametrize("k_max, expected", [(3, 8), (4, 772)])
@@ -1137,3 +1145,11 @@ def test_numpy_side_count_gives_builtin_numbers_in_decisions():
     assert type(assess_configuration(Configuration(EUC, five, (9.0, 16.0))).angle) is float
     best, p = brute_force_min(HYP, five, 1.0, 2, 10)
     assert type(best.n) is int and type(p) is float
+
+    def numbers(r):
+        return (*r.config.areas, r.single.area, r.split_perimeter, r.single_perimeter, r.margin)
+
+    # a numpy epsilon: the areas and perimeters are those of the float epsilon
+    res = counterexample_triangles(np.float64(0.1))
+    assert all(type(v) is float for v in numbers(res))
+    assert numbers(res) == numbers(counterexample_triangles(0.1))

@@ -310,9 +310,41 @@ def test_margin_sign_flips_at_critical_angle(n):
 
 
 def test_readme_quotes_theta_3():
+    # The README's "Library quick tour" runs as written, and each value its
+    # comments quote is what that line computes: Theta(3) by its repr, the
+    # other numbers to the digits quoted.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    quoted = re.search(r"res\.critical_angle +# (\S+)", readme).group(1)
-    assert quoted == repr(critical_angle(3).critical_angle)
+    tour = re.search(r"## Library quick tour\s+```python\n(.*?)```", readme, re.S).group(1)
+    quoted = dict(re.findall(r"^([^#\n]+?) +# (.+)$", tour, re.M))  # expression: comment
+    assert len(quoted) == 7  # each is checked below
+    ns: dict = {}
+    exec(tour, ns)
+
+    def value(expression):
+        return eval(expression, ns)
+
+    def digits(text):  # the number after "~", and its last decimal place
+        number = text.split("~")[1].strip()
+        return float(number), len(number.split(".")[1])
+
+    side = math.acosh(3.0 + 2.0 * math.sqrt(3.0))
+    assert quoted["tri.angle, tri.side, tri.perimeter"] == "pi/6, arccosh(3+2*sqrt(3)), 3*that"
+    assert value("tri.angle, tri.side, tri.perimeter") == pytest.approx(
+        (math.pi / 6.0, side, 3.0 * side), rel=1e-14
+    )
+    theta = value("res.critical_angle")
+    assert quoted["res.critical_angle"] == repr(theta) == repr(critical_angle(3).critical_angle)
+    assert quoted["res.max_area"].startswith("pi - 3*Theta ~")
+    assert value("res.max_area") == pytest.approx(math.pi - 3.0 * theta, rel=1e-14)
+    number, places = digits(quoted["res.max_area"])
+    assert round(value("res.max_area"), places) == number
+    assert quoted["verdict.verdict.value"] == repr(value("verdict.verdict.value"))
+    half = (math.pi - 0.3) / 2.0
+    assert quoted["verdict.witness.areas"] == "the equal split"
+    assert value("verdict.witness.areas") == (half, half)
+    number, places = digits(quoted["counterexample_triangles(0.1).margin"])
+    assert round(value("counterexample_triangles(0.1).margin"), places) == number
+    assert value("best.k") == int(quoted["best.k"])
 
 
 def test_memoized_results_are_identical():
