@@ -116,8 +116,8 @@ def split_objective(params: SplitFunctionParams, x: float) -> float:
 
     Symmetric about c/2; total split perimeter is 2*n times this value.
     """
-    params.require(x)
-    return half_side(params.n, x) + half_side(params.n, params.c - x)
+    params.require(x)  # then x and c - x lie in (c - flat, flat), inside (0, flat)
+    return _half_side(params.n, x) + _half_side(params.n, params.c - x)
 
 
 def equal_split_margin(n: int, x: float) -> float:

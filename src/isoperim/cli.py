@@ -82,37 +82,19 @@ def _assert_finite(value: object) -> None:
             _assert_finite(v)
 
 
-def _record(
-    command: str,
-    inputs: dict,
-    results: dict,
-    diagnostics: dict | None = None,
-) -> str:
-    """One JSON output record and its newline; non-finite numbers raise ConvergenceError."""
-    record: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-    }
-    if diagnostics is not None:
-        record["diagnostics"] = diagnostics
+def _record(command: str, **fields) -> str:
+    """One JSON record and its newline; non-finite numbers raise ConvergenceError.
+
+    `fields` are a result's inputs, results and optional diagnostics, or an
+    error's `error` object, in their schema's order.
+    """
+    record = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
     try:
         text = json.dumps(record, separators=(",", ":"), allow_nan=False)
     except ValueError:
         _assert_finite(record)  # names the non-finite value
         raise
     return text + "\n"
-
-
-def _emit_error(command: str, exc: Exception) -> str:
-    """One JSON error record and its newline."""
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
-    return json.dumps(record, separators=(",", ":")) + "\n"
 
 
 def _csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
@@ -156,8 +138,9 @@ def _cmd_perim(args: argparse.Namespace) -> str:
     side = side_length(polygon)
     return _record(
         "perim",
-        inputs,
-        {"area": polygon.area, "angle": polygon.angle, "side": side, "perimeter": args.n * side},
+        inputs=inputs,
+        results={"area": polygon.area, "angle": polygon.angle, "side": side,
+                 "perimeter": args.n * side},
     )
 
 
@@ -176,16 +159,18 @@ def _cmd_theta(args: argparse.Namespace) -> str:
         res = critical_angle(args.n)
         return _record(
             "theta",
-            {"n": args.n},
-            {"theta": res.critical_angle, "x0": res.inflection, "max_area": res.max_area},
-            {"iterations": res.iterations, "residual": res.residual},
+            inputs={"n": args.n},
+            results={"theta": res.critical_angle, "x0": res.inflection, "max_area": res.max_area},
+            diagnostics={"iterations": res.iterations, "residual": res.residual},
         )
     else:
         lo = hi = args.n
     rows = [(r.n, r.critical_angle, r.inflection, r.max_area)  # no n repeats: uncached
             for r in map(critical_angle.__wrapped__, range(lo, hi + 1))]
     if args.format == "json":
-        return _record("theta", {"range": [lo, hi]}, {"rows": [list(r) for r in rows]})
+        return _record(
+            "theta", inputs={"range": [lo, hi]}, results={"rows": [list(r) for r in rows]}
+        )
     return _csv(("n", "theta", "x0", "max_area"), rows)
 
 
@@ -217,7 +202,7 @@ def _cmd_split(args: argparse.Namespace) -> str:
         results["part_perimeters"] = list(assessment.part_perimeters)
     if assessment.witness is not None:
         results["witness_areas"] = list(assessment.witness.areas)
-    return _record("split", inputs, results)
+    return _record("split", inputs=inputs, results=results)
 
 
 def _scan_grid(lo: float, hi: float) -> list[float]:
@@ -263,7 +248,7 @@ def _cmd_scan(args: argparse.Namespace) -> str:
         values = [_half_side(n, x) for x in xs]
 
     if args.format == "json":
-        return _record("scan", inputs, {"x": xs, "value": values})
+        return _record("scan", inputs=inputs, results={"x": xs, "value": values})
     return _csv(("x", "value"), zip(xs, values))
 
 
@@ -274,8 +259,8 @@ def _cmd_counterexample(args: argparse.Namespace) -> str:
     result = counterexample_triangles(epsilon)
     return _record(
         "counterexample",
-        {"epsilon": epsilon},
-        {
+        inputs={"epsilon": epsilon},
+        results={
             "split_perimeter": result.split_perimeter,
             "single_perimeter": result.single_perimeter,
             "margin": result.margin,
@@ -370,7 +355,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 0
     except (ValueError, ConvergenceError, BracketError) as exc:
-        sys.stderr.write(_emit_error(args.command, exc))
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        sys.stderr.write(_record(args.command, error=error))
         return 2 if isinstance(exc, ValueError) else 3  # DomainError, ArgumentError: 2
 
 

@@ -18,7 +18,6 @@ from itertools import accumulate
 from operator import add
 from types import SimpleNamespace
 
-from .analysis import SplitFunctionParams, split_objective
 from .errors import ConvergenceError, DomainError, ResourceError
 from .geometry import (
     Geometry, RegularPolygon, _angle, _flat, _record, _side, area_bounds, validate_area,
@@ -140,39 +139,27 @@ def euclidean_pythagoras_check(a1: float, a2: float, n: int) -> tuple[float, flo
     return p1, p2, p
 
 
-def assess_two_split(
-    geometry: Geometry,
-    n: int,
-    total: float,
-    theta1: float | None = None,
-) -> SplitAssessment:
-    """Compare a two-way split of `total` area against the single polygon.
+def assess_two_split(geometry: Geometry, n: int, total: float) -> SplitAssessment:
+    """Compare the equal two-way split of `total` area against the single polygon.
 
-    The default split is the equal one, whose halves have perimeter
-    n*side(total/2) each; in the hyperbolic plane it is the only interior
-    candidate for a minimum of the split objective. A hyperbolic split may
-    instead be parametrized by the first piece's interior angle theta1.
-    Flat and spherical splits always lose; theta1 is rejected there.
+    Its halves have perimeter n*side(total/2) each; in the hyperbolic plane
+    the equal split is the only interior candidate for a minimum of the
+    split objective. Flat and spherical splits always lose. An unequal split
+    is a Configuration of its part areas, for assess_configuration.
     """
     validate_area(geometry, n, total)
     # after the check, whose text prints the caller's values: builtin numbers,
     # so that no numpy scalar leaks into the perimeters and the angle
     n, total = operator.index(n), float(total)
-    hyperbolic = geometry.curvature < 0
-    if theta1 is not None and not hyperbolic:
-        raise DomainError("theta1 applies only to hyperbolic splits")
     single_p = n * _side(geometry, n, total)
     angle = _angle(geometry, n, total)
     flat = _flat(n)
     half = total / 2.0
     # a hyperbolic angle sum that rounds onto 2*flat leaves no split angle
-    if not (angle + flat < 2.0 * flat if hyperbolic else half > 0.0):
+    if not (angle + flat < 2.0 * flat if geometry.curvature < 0 else half > 0.0):
         raise DomainError(f"total area {total} is too small to split for {geometry.kind} n={n}")
     p = n * _side(geometry, n, half)
-    config_p = p + p
-    if theta1 is not None:
-        config_p = 2.0 * n * split_objective(SplitFunctionParams(n, angle + flat), theta1)
-    return _assessment(geometry, n, total, angle, p, single_p, config_p)
+    return _assessment(geometry, n, total, angle, p, single_p, p + p)
 
 
 def merge_chain(config: Configuration) -> SplitAssessment:

@@ -54,7 +54,7 @@ def _check_sides(n: int) -> int:
 
 def area_bounds(geometry: Geometry, n: int) -> tuple[float, float]:
     """Open interval of admissible areas for a regular n-gon in `geometry`."""
-    _check_sides(n)
+    n = _check_sides(n)
     # the plane by its curvature, an instance attribute: reading a member off
     # the Enum class (Geometry.EUCLIDEAN) costs about ten times as much
     if not isinstance(geometry, Geometry):
@@ -82,7 +82,8 @@ def angle_from_area(geometry: Geometry, n: int, area: float) -> float:
     Euclidean polygons have the fixed angle (n-2)*pi/n for any area.
     """
     validate_area(geometry, n, area)
-    return _angle(geometry, n, area)
+    # builtin numbers, after the check whose text prints the caller's values
+    return _angle(geometry, operator.index(n), float(area))
 
 
 # Gauss-Bonnet, n * angle = (n-2)*pi + K * area: the only module that forms it
@@ -101,19 +102,16 @@ def area_from_angle(geometry: Geometry, n: int, angle: float) -> float:
     of area_bounds is a DomainError too.
     """
     lo, hi = area_bounds(geometry, n)
-    flat = _flat(n)
-    k = geometry.curvature
+    n, k = operator.index(n), geometry.curvature
     if k == 0:
         raise DomainError("euclidean interior angle does not determine the area")
-    if k > 0 and not flat < angle < math.pi:
+    low, high = (_flat(n), math.pi) if k > 0 else (0, _flat(n))
+    if not low < angle < high:
         raise DomainError(
-            f"spherical interior angle must lie in ({flat}, {math.pi}), got {angle}"
+            f"{geometry.kind} interior angle must lie in ({low}, {high}), got {angle}"
         )
-    if k < 0 and not 0.0 < angle < flat:
-        raise DomainError(
-            f"hyperbolic interior angle must lie in (0, {flat}), got {angle}"
-        )
-    top = (n - 2) * math.pi
+    # builtin numbers, after the check whose text prints the caller's angle
+    angle, top = float(angle), (n - 2) * math.pi
     area = n * angle - top if k > 0 else top - n * angle
     if not lo < area < hi:
         raise DomainError(
@@ -165,7 +163,7 @@ class RegularPolygon:
 
     @property
     def angle(self) -> float:
-        return _angle(self.geometry, self.n, self.area)  # __init__ checked the area
+        return _angle(self.geometry, self.n, float(self.area))  # __init__ checked the area
 
     @property
     def side(self) -> float:

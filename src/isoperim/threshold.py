@@ -38,7 +38,6 @@ from .errors import BracketError, ConvergenceError
 from .geometry import _check_sides, _flat, _half_side, _record
 
 MAX_ITERATIONS = 200
-RESIDUAL_TOL = 1e-10
 _FLOOR_EPS = 4.0 * sys.float_info.epsilon
 # From this n on the start has all four terms. Below it the two-term start is
 # kept: there the four-term one is still 4e-3 to 0.12 relative off the root,
@@ -108,11 +107,14 @@ def critical_angle(n: int) -> ThresholdResult:
     is K'(x) - K'(x + t/2). A margin within its rounding floor
     4*eps*(2K(x + t/2) + K(x)), which bounds the error of its two terms
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    ch. 1-3), is zero. The margin must be positive at x0; the open end,
-    where it is -inf, is never evaluated. The solve stops at the first
-    iterate within the floor, the start included, with no slope evaluated
-    there: a series start within it is the root at one margin evaluation.
-    A bracket that closes to adjacent floats first is a
+    ch. 1-3), is zero. Every iterate has lo < t < flat, so x = flat - t is
+    at least an ulp of flat (about 2e-16) and K(x) < 40: the floor, and so
+    the returned `residual`, stays below 1.1e-13 (2e-12 even at x = 5e-324,
+    where K < 746), with no further check. The margin must be positive at
+    x0; the open end, where it is -inf, is never evaluated. The solve stops
+    at the first iterate within the floor, the start included, with no
+    slope evaluated there: a series start within it is the root at one
+    margin evaluation. A bracket that closes to adjacent floats first is a
     ConvergenceError, or a BracketError if it closed onto the open end.
     """
     n = _check_sides(n)
@@ -160,14 +162,9 @@ def critical_angle(n: int) -> ThresholdResult:
                 break
     residual = abs(ft)
     if not within:
-        error = ConvergenceError if math.isfinite(flo) and math.isfinite(fhi) else BracketError
+        error = ConvergenceError if math.isfinite(fhi) else BracketError  # flo > 0 is finite
         raise error(
             f"no root within the floor on [{lo}, {hi}] after {i} iterations: f={flo} and {fhi}",
             n=n, bracket=(lo, hi), residual=residual,
-        )
-    if residual > RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"critical-angle residual {residual} exceeds {RESIDUAL_TOL} for n={n}",
-            n=n, bracket=(flat - x0, flat), residual=residual,
         )
     return ThresholdResult(n, x, x0, n * t, i, residual)

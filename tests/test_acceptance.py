@@ -15,6 +15,7 @@ from isoperim import (
     Geometry,
     RegularPolygon,
     Verdict,
+    assess_configuration,
     assess_two_split,
     brute_force_min,
     counterexample_triangles,
@@ -179,7 +180,9 @@ def test_criterion_6_hyperbolic_dichotomy():
         c = theta + hi
         width = 2.0 * hi - c
         theta1 = (c - hi) + rng.uniform(1e-6, 1.0 - 1e-6) * width
-        split = assess_two_split(HYP, n, area, theta1=theta1)
+        # the split into pieces of angles theta1 and c - theta1, by their areas
+        a1 = hyp_area(n, theta1)
+        split = assess_configuration(Configuration(HYP, n, (a1, area - a1)))
         assert split.verdict is Verdict.SINGLE_OPTIMAL_STRICT
 
         for k in (2, 3, 4):

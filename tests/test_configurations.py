@@ -22,6 +22,7 @@ from isoperim import (
     RegularPolygon,
     ResourceError,
     SplitAssessment,
+    SplitFunctionParams,
     Verdict,
     assess_configuration,
     assess_two_split,
@@ -31,6 +32,7 @@ from isoperim import (
     euclidean_pythagoras_check,
     merge_chain,
     perimeter,
+    split_objective,
     total_area,
     total_perimeter,
 )
@@ -199,17 +201,9 @@ def test_assess_explicit_split_angle():
     hi = math.pi / 3
     for frac in (0.1, 0.5, 0.9):
         theta1 = (c - hi) + frac * (2 * hi - c)
-        res = assess_two_split(HYP, 3, area, theta1=theta1)
+        a1 = hyp_area(3, theta1)  # the other piece has angle c - theta1
+        res = assess_configuration(Configuration(HYP, 3, (a1, area - a1)))
         assert res.verdict is Verdict.SINGLE_OPTIMAL_STRICT
-
-
-def test_assess_theta1_validation():
-    with pytest.raises(DomainError):
-        assess_two_split(HYP, 3, 1.0, theta1=-5.0)
-    with pytest.raises(DomainError):
-        assess_two_split(SPH, 3, 1.0, theta1=0.5)
-    with pytest.raises(DomainError):
-        assess_two_split(EUC, 3, 1.0, theta1=0.5)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 1000])
@@ -281,9 +275,9 @@ def test_split_objective_tends_to_single_at_boundary():
         theta = 0.5 * hi
         area = hyp_area(n, theta)
         single = perimeter(RegularPolygon(HYP, n, area))
-        res = assess_two_split(HYP, n, area, theta1=hi - 1e-7)
-        assert res.config_perimeter / (2 * n) == pytest.approx(single / (2 * n), abs=1e-3)
-        assert res.config_perimeter > single
+        split = 2 * n * split_objective(SplitFunctionParams(n, theta + hi), hi - 1e-7)
+        assert split / (2 * n) == pytest.approx(single / (2 * n), abs=1e-3)
+        assert split > single
 
 
 # ------------------------------------------------------------ merge chain
@@ -1131,12 +1125,18 @@ def test_merge_chain_half_underflow_has_no_witness(n):
 
 def test_numpy_side_count_gives_builtin_numbers_in_decisions():
     five = np.int64(5)
-    for total, theta1 in ((1.0, None), (8.0, None), (8.0, 0.3)):  # single wins, halves win
-        res = assess_two_split(HYP, five, total, theta1)
+    a1 = hyp_area(5, 0.3)  # pieces of angles 0.3 and c - 0.3 in a total of 8.0
+    decisions = (
+        lambda n: assess_two_split(HYP, n, 1.0),  # single wins
+        lambda n: assess_two_split(HYP, n, 8.0),  # halves win
+        lambda n: assess_configuration(Configuration(HYP, n, (a1, 8.0 - a1))),
+    )
+    for decide in decisions:
+        res = decide(five)
         numbers = (res.single_perimeter, res.config_perimeter, res.angle, res.critical_angle)
         assert all(type(v) is float for v in numbers)
         assert res.witness is None or type(res.witness.n) is int
-        assert res == assess_two_split(HYP, 5, total, theta1)
+        assert res == decide(5)
     config = Configuration(HYP, five, (0.5, 0.7))
     assert type(config.n) is int and config == Configuration(HYP, 5, (0.5, 0.7))
     chain = merge_chain(config)

@@ -212,6 +212,21 @@ def test_numpy_side_count_gives_builtin_numbers():
     assert all(type(v) is float for v in (res.critical_angle, res.inflection, res.max_area))
     # the typed cache still keeps np.int64(5) apart from 5, with equal results
     assert res is not critical_angle(5) and res == critical_angle(5)
+    # a numpy side count, area or angle: builtin results equal to the builtin call's
+    five = np.int64(5)
+    bounds = area_bounds(HYP, five)
+    assert bounds == area_bounds(HYP, 5) and all(type(v) is float for v in bounds)
+    for n, area in ((five, 1.0), (5, np.float64(1.0)), (five, np.float64(1.0))):
+        for g in (EUC, SPH, HYP):
+            angle = angle_from_area(g, n, area)
+            assert type(angle) is float and angle == angle_from_area(g, 5, 1.0)
+            polygon = RegularPolygon(g, n, area)
+            assert type(polygon.angle) is float and polygon.angle == angle
+            assert polygon.area is area  # the caller's number, as Configuration.areas
+    for g, x in ((SPH, 2.0), (HYP, 1.0)):
+        for n, angle in ((five, x), (5, np.float64(x)), (five, np.float64(x))):
+            area = area_from_angle(g, n, angle)
+            assert type(area) is float and area == area_from_angle(g, 5, x)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ a process has loaded run in a fresh interpreter.
 """
 
 import hashlib
+import inspect
 import subprocess
 import sys
 import textwrap
@@ -89,6 +90,15 @@ def run_fresh(code: str) -> None:
 def test_all_is_pinned():
     assert isoperim.__all__ == ALL
     assert sorted(name for names in HOMES.values() for name in names) == ALL
+
+
+def test_assess_two_split_takes_no_split_angle():
+    # the equal split only: an unequal one is a Configuration for assess_configuration
+    params = inspect.signature(isoperim.assess_two_split).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+        for name in ("geometry", "n", "total")
+    ]
 
 
 def test_import_loads_no_submodule():

@@ -157,19 +157,6 @@ def test_newton_falls_back_to_bisection_outside_bracket(monkeypatch):
 
 
 def test_solver_errors_carry_n_bracket_and_residual(monkeypatch):
-    x0 = inflection_point(3)
-    flat = domain_hi(3)
-    monkeypatch.setattr(threshold, "RESIDUAL_TOL", -1.0)
-    with pytest.raises(ConvergenceError) as info:
-        solve(3)
-    err = info.value
-    # the bracket is in the deficit t = flat - x: [flat - x0, flat)
-    assert err.n == 3 and err.bracket == (flat - x0, flat)
-    assert err.bracket[0] < flat - THETA_3 < err.bracket[1]
-    assert err.residual >= 0.0
-    assert str(err) == f"critical-angle residual {err.residual} exceeds -1.0 for n=3"
-    monkeypatch.undo()
-
     # a margin that never turns negative closes the bracket onto its open
     # end, which is never evaluated (the true margin is -inf there)
     flat4 = domain_hi(4)
