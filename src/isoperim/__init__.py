@@ -23,8 +23,7 @@ _HOMES = {
         "configurations",
     ),
     **dict.fromkeys(
-        ("ArgumentError", "BracketError", "ConvergenceError", "DomainError", "ResourceError"),
-        "errors",
+        ("ArgumentError", "BracketError", "ConvergenceError", "DomainError"), "errors"
     ),
     **dict.fromkeys(
         ("Geometry", "RegularPolygon", "angle_from_area", "area_bounds", "area_from_angle",

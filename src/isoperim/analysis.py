@@ -40,12 +40,16 @@ class SplitFunctionParams:
     c: float
 
     def __post_init__(self) -> None:
-        _check_sides(self.n)
-        flat = _flat(self.n)
+        n = _check_sides(self.n)
+        flat = _flat(n)
         if not flat < self.c < 2.0 * flat:
             raise DomainError(
                 f"angle sum must lie in ({flat}, {2.0 * flat}), got {self.c}"
             )
+        # after the checks, whose texts print the caller's values: builtin
+        # numbers, so that no numpy scalar leaks into lo and hi (frozen fields)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", float(self.c))
 
     @property
     def lo(self) -> float:

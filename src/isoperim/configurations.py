@@ -18,9 +18,9 @@ from itertools import accumulate
 from operator import add
 from types import SimpleNamespace
 
-from .errors import ConvergenceError, DomainError, ResourceError
+from .errors import ConvergenceError, DomainError
 from .geometry import (
-    Geometry, RegularPolygon, _angle, _flat, _record, _side, area_bounds, validate_area,
+    Geometry, RegularPolygon, _angle, _record, _side, area_bounds, validate_area,
 )
 from .threshold import critical_angle
 
@@ -31,7 +31,6 @@ TIE_TOL = 1e-9
 
 MAX_PARTS = 4
 MAX_RESOLUTION = 2000
-MAX_EVALUATIONS = 10**8
 # Cells brute_force_min scores per numpy block, which bounds its working
 # memory; above MAX_RESOLUTION // 2 + 1, so a block holds at least a whole row.
 _CHUNK = 8192
@@ -145,21 +144,20 @@ def assess_two_split(geometry: Geometry, n: int, total: float) -> SplitAssessmen
     Its halves have perimeter n*side(total/2) each; in the hyperbolic plane
     the equal split is the only interior candidate for a minimum of the
     split objective. Flat and spherical splits always lose. An unequal split
-    is a Configuration of its part areas, for assess_configuration.
+    is a Configuration of its part areas, for assess_configuration. The one
+    admitted total too small to halve, in every plane, is 5e-324: its half
+    rounds to 0, a DomainError.
     """
     validate_area(geometry, n, total)
     # after the check, whose text prints the caller's values: builtin numbers,
     # so that no numpy scalar leaks into the perimeters and the angle
     n, total = operator.index(n), float(total)
     single_p = n * _side(geometry, n, total)
-    angle = _angle(geometry, n, total)
-    flat = _flat(n)
     half = total / 2.0
-    # a hyperbolic angle sum that rounds onto 2*flat leaves no split angle
-    if not (angle + flat < 2.0 * flat if geometry.curvature < 0 else half > 0.0):
+    if not half > 0.0:
         raise DomainError(f"total area {total} is too small to split for {geometry.kind} n={n}")
     p = n * _side(geometry, n, half)
-    return _assessment(geometry, n, total, angle, p, single_p, p + p)
+    return _assessment(geometry, n, total, _angle(geometry, n, total), p, single_p, p + p)
 
 
 def merge_chain(config: Configuration) -> SplitAssessment:
@@ -309,7 +307,6 @@ def brute_force_min(
     total: float,
     k_max: int,
     resolution: int,
-    max_evaluations: int = MAX_EVALUATIONS,
 ) -> tuple[Configuration, float]:
     """Grid search over area partitions for the least total perimeter.
 
@@ -317,17 +314,15 @@ def brute_force_min(
     multiset of at most k_max positive unit counts summing to the full
     amount is a candidate. Ties prefer fewer polygons, then the
     lexicographically smallest area vector. Intended as an independent
-    oracle for the analytic verdicts. `max_evaluations` (an integer >= 0)
-    bounds the cells (prefix total, third part) of the grid, and so the
-    cells the search scores; a grid of more cells raises ResourceError
-    before any perimeter is computed.
+    oracle for the analytic verdicts. k_max <= MAX_PARTS and resolution <=
+    MAX_RESOLUTION bound the grid: it holds at most 501001 cells (prefix
+    total, third part), at k_max = 4 and R = 2000.
     """
     import numpy as np  # here, so that importing the package does not load numpy
 
     limits = (
         ("k_max", k_max, 1, MAX_PARTS),
         ("resolution", resolution, 1, MAX_RESOLUTION),
-        ("max_evaluations", max_evaluations, 0, math.inf),
     )
     for name, value, low, top in limits:
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -338,7 +333,12 @@ def brute_force_min(
     if not total > 0.0:
         raise DomainError(f"total area must be positive, got {total}")
     total = float(total)  # a numpy float would make every area a numpy scalar
-    lo, hi = area_bounds(geometry, n)  # checks n before the budget
+    lo, hi = area_bounds(geometry, n)  # checks n and the geometry
+    unit = total / R
+    if k_max == 1:  # the single polygon alone: the scalar kernel, no table
+        area = R * unit
+        p = float(n * _side(geometry, n, area)) if lo < area < hi else math.inf
+        return _grid_result(geometry, n, total, R, p, (area,))
 
     # Every candidate is a sorted vector 0 <= a <= b <= c <= d summing to R,
     # at least 4 - k_max of its parts absent (0), scored like the reference
@@ -354,16 +354,7 @@ def brute_force_min(
     # again (_first_tie).
     u = np.arange((0, 0, R // 3, R // 2)[k_max - 1] + 1)
     b_lo = (u + 1) // 2 if k_max == 4 else u  # below four parts, a = 0
-    c_hi = (R - u) // 2 if k_max > 1 else u  # c <= d; k_max = 1: c = 0, d = R
-    cells = int(np.maximum(c_hi - b_lo + 1, 0).sum())
-    if cells > max_evaluations:
-        raise ResourceError(f"{cells} cells exceed the budget of {max_evaluations}")
-
-    unit = total / R
-    if k_max == 1:  # the single polygon alone: the scalar kernel, no table
-        area = R * unit
-        p = float(n * _side(geometry, n, area)) if lo < area < hi else math.inf
-        return _grid_result(geometry, n, total, R, p, (area,))
+    c_hi = (R - u) // 2  # c <= d
     # 0 < u * unit < hi holds for an initial run of the unit counts u, so
     # perims is finite exactly on 1..finite.
     areas = np.arange(1, R + 1) * unit

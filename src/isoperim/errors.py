@@ -23,7 +23,3 @@ class BracketError(_SolverError):
 
 class ConvergenceError(_SolverError):
     """An iterative solver exhausted its iteration budget."""
-
-
-class ResourceError(RuntimeError):
-    """A search would exceed its evaluation budget."""

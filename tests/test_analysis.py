@@ -241,6 +241,20 @@ def test_split_objective_domain():
         SplitFunctionParams(3, math.pi / 3)  # angle sum at the excluded boundary
 
 
+def test_split_params_hold_builtin_numbers():
+    # numpy arguments are checked as given, then stored as int and float,
+    # so that lo, hi and the objective come out as builtin floats
+    p = SplitFunctionParams(np.int64(5), np.float64(3.0))
+    assert (type(p.n), type(p.c), type(p.lo), type(p.hi)) == (int, float, float, float)
+    assert p == SplitFunctionParams(5, 3.0)
+    assert repr(p) == "SplitFunctionParams(n=5, c=3.0)"
+    assert type(split_objective(p, p.c / 2.0)) is float
+    with pytest.raises(DomainError, match=full_text(
+        "angle sum must lie in (1.0471975511965976, 2.0943951023931953), got 3.0"
+    )):
+        SplitFunctionParams(np.int32(3), np.float64(3.0))
+
+
 def test_split_objective_grid_minimum_location():
     # below the critical angle the interior minimum sits at the midpoint;
     # above it the grid minimum moves to the domain boundary

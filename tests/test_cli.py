@@ -331,16 +331,22 @@ def test_split_hyperbolic_below_threshold(capsys):
     assert halves[0] == pytest.approx(2.8415926 / 2, rel=1e-12)
 
 
-def test_split_hyperbolic_total_too_small(capsys):
-    code, out, err = run_cli(capsys, "split", "hyperbolic", "3", "--total-area", "1e-300")
-    assert code == 2
-    assert out == ""
-    error = json.loads(err)
-    jsonschema.validate(error, ERROR_SCHEMA)
-    assert error["error"]["message"].startswith("total area 1e-300 is too small to split")
+def test_split_hyperbolic_total_whose_angle_rounds_to_flat(capsys):
+    # the angle of a total of 1e-17 rounds to pi/3; its equal split reads as
+    # the configuration of its two halves does
+    code, out, err = run_cli(capsys, "split", "hyperbolic", "3", "--total-area", "1e-17")
+    assert code == 0 and err == ""
+    results = record_of(out)["results"]
+    code, out, _ = run_cli(
+        capsys, "split", "hyperbolic", "3", "--total-area", "1e-17", "--areas", "5e-18,5e-18"
+    )
+    assert code == 0
+    parts = record_of(out)["results"]
+    assert results == {key: parts[key] for key in results}
+    assert results["verdict"] == "single_optimal_strict"
 
 
-@pytest.mark.parametrize("geometry", ["euclidean", "spherical"])
+@pytest.mark.parametrize("geometry", ["euclidean", "spherical", "hyperbolic"])
 def test_split_total_whose_half_underflows(capsys, geometry):
     # 5e-324 / 2 rounds to 0: the error names the total the user gave
     code, out, err = run_cli(capsys, "split", geometry, "3", "--total-area", "5e-324")

@@ -28,7 +28,7 @@ HOMES = {
         "counterexample_triangles", "euclidean_pythagoras_check", "merge_chain",
         "total_area", "total_perimeter",
     ],
-    "errors": ["ArgumentError", "BracketError", "ConvergenceError", "DomainError", "ResourceError"],
+    "errors": ["ArgumentError", "BracketError", "ConvergenceError", "DomainError"],
     "geometry": [
         "Geometry", "RegularPolygon", "angle_from_area", "area_bounds", "area_from_angle",
         "perimeter", "side_length", "validate_area",
@@ -39,7 +39,7 @@ HOMES = {
 ALL = [
     "ArgumentError", "BracketError", "Configuration", "ConvergenceError",
     "CounterexampleResult", "DomainError", "Geometry", "MergeStep", "RegularPolygon",
-    "ResourceError", "SplitAssessment", "SplitFunctionParams", "ThresholdResult", "Verdict",
+    "SplitAssessment", "SplitFunctionParams", "ThresholdResult", "Verdict",
     "angle_from_area", "area_bounds", "area_from_angle", "assess_configuration",
     "assess_two_split", "brute_force_min", "counterexample_triangles", "critical_angle",
     "equal_split_margin", "euclidean_pythagoras_check", "half_side", "half_side_d1",
@@ -98,6 +98,15 @@ def test_assess_two_split_takes_no_split_angle():
     assert [(p.name, p.kind, p.default) for p in params] == [
         (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
         for name in ("geometry", "n", "total")
+    ]
+
+
+def test_brute_force_min_takes_no_evaluation_budget():
+    # MAX_PARTS and MAX_RESOLUTION bound the grid to at most 501001 cells
+    params = inspect.signature(isoperim.brute_force_min).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+        for name in ("geometry", "n", "total", "k_max", "resolution")
     ]
 
 
