@@ -331,19 +331,30 @@ def test_split_hyperbolic_below_threshold(capsys):
     assert halves[0] == pytest.approx(2.8415926 / 2, rel=1e-12)
 
 
-def test_split_hyperbolic_total_whose_angle_rounds_to_flat(capsys):
-    # the angle of a total of 1e-17 rounds to pi/3; its equal split reads as
-    # the configuration of its two halves does
-    code, out, err = run_cli(capsys, "split", "hyperbolic", "3", "--total-area", "1e-17")
+@pytest.mark.parametrize(
+    "n,total,verdict",
+    [
+        (n, total, "tie" if total == "1e-300" else "single_optimal_strict")
+        for total in ("1e-300", "5e-16", "1e-17")
+        for n in ("3", "4", "1000")
+    ]
+    + [("1000", "1e-13", "single_optimal_strict")],
+)
+def test_split_hyperbolic_total_whose_angle_rounds_to_flat(capsys, n, total, verdict):
+    # the angle of each total rounds to the flat angle (pi/3 at n = 3); its
+    # equal split reads as the configuration of its two halves does. 1e-300's
+    # perimeters differ by less than TIE_TOL, so it reads as a tie
+    code, out, err = run_cli(capsys, "split", "hyperbolic", n, "--total-area", total)
     assert code == 0 and err == ""
     results = record_of(out)["results"]
+    half = repr(float(total) / 2.0)
     code, out, _ = run_cli(
-        capsys, "split", "hyperbolic", "3", "--total-area", "1e-17", "--areas", "5e-18,5e-18"
+        capsys, "split", "hyperbolic", n, "--total-area", total, "--areas", f"{half},{half}"
     )
     assert code == 0
     parts = record_of(out)["results"]
     assert results == {key: parts[key] for key in results}
-    assert results["verdict"] == "single_optimal_strict"
+    assert results["verdict"] == verdict
 
 
 @pytest.mark.parametrize("geometry", ["euclidean", "spherical", "hyperbolic"])
