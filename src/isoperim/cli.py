@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Sequence
-from functools import partial, reduce
+from functools import reduce
 from operator import add
 
 # Every command uses errors and geometry; each handler imports the other
@@ -215,9 +215,7 @@ def _scan_grid(lo: float, hi: float) -> list[float]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> str:
-    from .analysis import (
-        SplitFunctionParams, _margin, equal_split_margin, half_side, split_objective,
-    )
+    from .analysis import SplitFunctionParams, _margin
 
     modes = [m for m in ("phi", "g", "h") if getattr(args, m) is not None]
     if len(modes) != 1:
@@ -228,18 +226,16 @@ def _cmd_scan(args: argparse.Namespace) -> str:
         n = _parse(int, args.h[0], "side count N of --h")
         c = _maybe_radians(_parse(float, args.h[1], "angle sum C of --h"), args.degrees)
         params = SplitFunctionParams(n, c)
-        lo, hi, check = params.lo, params.hi, partial(split_objective, params)
+        lo, hi = params.lo, params.hi
         inputs: dict = {"mode": "h", "n": n, "c": c}
     else:
         n = getattr(args, mode)
         _check_sides(n)
         lo, hi = 0.0, _flat(n)
-        check = partial(equal_split_margin if mode == "phi" else half_side, n)
         inputs = {"mode": mode, "n": n}
+    # N and C are checked, and each point lies SCAN_STANDOFF inside (lo, hi): x, c - x
+    # and the margin's inner angle lie in (0, flat), so the kernels take them unchecked
     xs = _scan_grid(lo, hi)
-    # x, c - x and the margin's inner angle are monotone in x: the ends check every point
-    for x in (min(xs), max(xs)):
-        check(x)
     if mode == "h":
         values = [_half_side(n, x) + _half_side(n, c - x) for x in xs]
     elif mode == "phi":

@@ -69,10 +69,19 @@ def area_bounds(geometry: Geometry, n: int) -> tuple[float, float]:
 def validate_area(geometry: Geometry, n: int, area: float) -> None:
     """Raise DomainError unless `area` lies strictly inside its admissible interval."""
     lo, hi = area_bounds(geometry, n)
-    if not area > lo:
+    # judged as given (a str is a TypeError), then as the float the kernels take
+    if not (area > lo and (x := _float(area)) > lo):
         raise DomainError(f"area must be > {lo}, got {area}")
-    if not area < hi:
+    if not x < hi:
         raise DomainError(f"area must be < {hi} for {geometry.kind} n={n}, got {area}")
+
+
+def _float(number) -> float:
+    """float(number) for a number > 0, or inf where that raises (10**400 compares below inf)."""
+    try:
+        return float(number)
+    except OverflowError:
+        return math.inf
 
 
 def angle_from_area(geometry: Geometry, n: int, area: float) -> float:

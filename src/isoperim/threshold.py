@@ -110,21 +110,19 @@ def critical_angle(n: int) -> ThresholdResult:
     ch. 1-3), is zero. Every iterate has lo < t < flat, so x = flat - t is
     at least an ulp of flat (about 2e-16) and K(x) < 40: the floor, and so
     the returned `residual`, stays below 1.1e-13 (2e-12 even at x = 5e-324,
-    where K < 746), with no further check. The margin must be positive at
-    x0; the open end, where it is -inf, is never evaluated. The solve stops
-    at the first iterate within the floor, the start included, with no
-    slope evaluated there: a series start within it is the root at one
-    margin evaluation. A bracket that closes to adjacent floats first is a
+    where K < 746), with no further check. Neither end is evaluated: the
+    margin is -inf at t = flat, and positive at t = lo as K is concave on
+    [x0, flat) with K(flat) = 0 (Jensen: 2K((x0 + flat)/2) >= K(x0); computed,
+    at least 9.9e11 times its floor over n in [3, 10**6]). The solve stops at
+    the first iterate within the floor, the start included, with no slope
+    evaluated there: a series start within it is the root at one margin
+    evaluation. A bracket that closes to adjacent floats first is a
     ConvergenceError, or a BracketError if it closed onto the open end.
     """
     n = _check_sides(n)
     x0 = _inflection(n)
     flat = _flat(n)
     lo = flat - x0  # exact: x0 lies in [flat/2, flat)
-    h = 0.5 * lo  # the margin at t = lo, as the loop forms it
-    flo = 2.0 * _half_side(n, x0 + h, -0.5 * h) - _half_side(n, x0, -h)
-    if not flo > 0.0:
-        raise BracketError(f"margin not positive at the inflection point for n={n}", n=n)
     a = math.pi / n
     c0, c1, c2, c3, c4, c5, c6 = SERIES
     if n >= SERIES_FROM:
@@ -149,8 +147,8 @@ def critical_angle(n: int) -> ThresholdResult:
         within = abs(ft) <= _FLOOR_EPS * (outer + k)
         if within:
             break
-        if ft > 0.0:  # flo > 0 throughout
-            lo, flo = t, ft
+        if ft > 0.0:
+            lo = t
         else:
             hi, fhi = t, ft
         s = _half_side_d1(n, x) - _half_side_d1(n, x + h)
@@ -160,11 +158,10 @@ def critical_angle(n: int) -> ThresholdResult:
             t = 0.5 * (lo + hi)
             if not lo < t < hi:  # two adjacent floats
                 break
-    residual = abs(ft)
     if not within:
-        error = ConvergenceError if math.isfinite(fhi) else BracketError  # flo > 0 is finite
+        error = ConvergenceError if math.isfinite(fhi) else BracketError
         raise error(
-            f"no root within the floor on [{lo}, {hi}] after {i} iterations: f={flo} and {fhi}",
-            n=n, bracket=(lo, hi), residual=residual,
+            f"no root within the floor on [{lo}, {hi}] after {i} iterations: f(hi)={fhi}",
+            n=n, bracket=(lo, hi), residual=abs(ft),
         )
-    return ThresholdResult(n, x, x0, n * t, i, residual)
+    return ThresholdResult(n, x, x0, n * t, i, abs(ft))

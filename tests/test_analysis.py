@@ -148,6 +148,19 @@ def test_first_derivative_diverges_at_both_ends():
         assert half_side_d1(n, domain_hi(n) - 1e-9) < -1e3
 
 
+@pytest.mark.parametrize("denominator", [0.0, -1e-300])
+def test_first_derivative_is_minus_inf_where_its_denominator_is_not_positive(
+    monkeypatch, denominator
+):
+    # cos(2*pi/n) + cos(x) stays positive on the whole domain in this libm
+    # (one ulp below the flat angle it is at least 7.7e-22, at n = 999992);
+    # the guard answers a libm whose cosines round the other way
+    from isoperim import analysis
+
+    monkeypatch.setattr(analysis, "_denominator", lambda n, x: denominator)
+    assert half_side_d1(3, 1.0) == -math.inf
+
+
 # ------------------------------------------------------- spherical kernel
 
 

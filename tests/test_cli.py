@@ -618,25 +618,6 @@ def test_scan_error_texts(capsys, argv, message):
     assert json.loads(err)["error"] == {"type": "DomainError", "message": message}
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (("--phi", "3"), "angle must lie in the open interval (0.0, 1.0471975511965976), got 0.0"),
-        (("--g", "3"), "angle must lie in the open interval (0.0, 1.0471975511965976), got 0.0"),
-        (("--h", "3", "1.5"), "split angle must lie in the open interval "
-         "(0.45280244880340237, 1.0471975511965976), got 0.45280244880340237"),
-    ],
-    ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
-)
-def test_scan_checks_its_grid(capsys, monkeypatch, argv, message):
-    # with no standoff the grid starts on the domain's closed end, which the
-    # checked functions reject
-    monkeypatch.setattr(cli, "SCAN_STANDOFF", 0.0)
-    code, out, err = run_cli(capsys, "scan", *argv)
-    assert (code, out) == (2, "")
-    assert json.loads(err)["error"] == {"type": "DomainError", "message": message}
-
-
 # --------------------------------------------------------- counterexample
 
 

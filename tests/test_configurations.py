@@ -4,8 +4,6 @@ import itertools
 import math
 import operator
 import random
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -15,7 +13,6 @@ from hypothesis import strategies as st
 
 from isoperim import (
     Configuration,
-    ConvergenceError,
     DomainError,
     Geometry,
     MergeStep,
@@ -401,29 +398,24 @@ def test_counterexample_epsilon_lost_to_rounding():
         counterexample_triangles(1e-300)
 
 
-def test_counterexample_pair_over_its_bound_raises(monkeypatch):
-    monkeypatch.setattr(configurations, "total_perimeter", lambda config: 1e9)
+def test_counterexample_pair_within_its_bound():
+    # both triangles have area at most pi/2, and at fixed n the perimeter
+    # rises with the area: the pair is at most 2*P3(pi/2) = 6*acosh(3 +
+    # 2*sqrt(3)), also in floating point, on a log sweep of epsilon from the
+    # least admitted value (about 7.4e-17) to pi/6
     bound = 6.0 * math.acosh(3.0 + 2.0 * math.sqrt(3.0))
-    with pytest.raises(ConvergenceError) as info:
-        counterexample_triangles(0.1)
-    assert str(info.value) == f"pair perimeter 1000000000.0 exceeds its bound {bound}"
-
-
-def test_counterexample_bound_survives_optimized_mode():
-    code = (
-        "import isoperim.configurations as c\n"
-        "from isoperim import ConvergenceError\n"
-        "c.total_perimeter = lambda config: 1e9\n"
-        "try:\n"
-        "    c.counterexample_triangles(0.1)\n"
-        "except ConvergenceError as exc:\n"
-        "    if 'exceeds its bound' not in str(exc):\n"
-        "        raise SystemExit(str(exc))\n"
-        "else:\n"
-        "    raise SystemExit('pair bound not checked')\n"
-    )
-    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr + result.stdout
+    least = 2.0**-52 / 3.0
+    while not math.pi - 3.0 * least < math.pi:
+        least = math.nextafter(least, 1.0)
+    with pytest.raises(DomainError, match="too small"):
+        counterexample_triangles(math.nextafter(least, 0.0))
+    top = math.nextafter(math.pi / 6.0, 0.0)
+    ratio, count = top / least, 20001
+    worst = -math.inf
+    for i in range(count):
+        epsilon = min(max(least * ratio ** (i / (count - 1)), least), top)
+        worst = max(worst, counterexample_triangles(epsilon).split_perimeter - bound)
+    assert worst <= 0.0
 
 
 # ------------------------------------------------------------ brute force

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoperim import (
+    Configuration,
     DomainError,
     Geometry,
     RegularPolygon,
     angle_from_area,
     area_bounds,
     area_from_angle,
+    assess_configuration,
     assess_two_split,
     brute_force_min,
     critical_angle,
@@ -19,6 +23,7 @@ from isoperim import (
     inflection_point,
     perimeter,
     side_length,
+    validate_area,
 )
 from isoperim.configurations import _elementwise
 from isoperim.geometry import _side
@@ -244,6 +249,39 @@ def test_numpy_side_count_gives_builtin_numbers():
 def test_boundary_areas_rejected(geometry, n, area):
     with pytest.raises(DomainError):
         RegularPolygon(geometry, n, area)
+
+
+# Python compares an int, a Fraction or a Decimal with a float exactly, so
+# these are below inf; their floats are not (float raises OverflowError, or
+# gives inf for the Decimal), or round to 0 (the last)
+BEYOND_DOUBLE = [10**400, Fraction(10**400), Decimal("1e400"), Decimal("1e-400")]
+AREA_ENTRIES = {
+    "validate_area": validate_area,
+    "angle": lambda g, n, a: RegularPolygon(g, n, a).angle,
+    "perimeter": lambda g, n, a: RegularPolygon(g, n, a).perimeter,
+    "angle_from_area": angle_from_area,
+    "assess_two_split": assess_two_split,
+    "assess_configuration": lambda g, n, a: assess_configuration(Configuration(g, n, (1.0, a))),
+}
+
+
+@pytest.mark.parametrize("area", BEYOND_DOUBLE, ids=str)
+@pytest.mark.parametrize("entry", AREA_ENTRIES)
+def test_an_area_beyond_the_double_range_is_a_domain_error(entry, area):
+    # judged as the float the kernels take; the error names the caller's value
+    with pytest.raises(DomainError) as info:
+        AREA_ENTRIES[entry](EUC, 4, area)
+    assert str(info.value).endswith(f", got {area}")
+
+
+@pytest.mark.parametrize("area", BEYOND_DOUBLE, ids=str)
+@pytest.mark.parametrize("geometry", list(Geometry))
+@pytest.mark.parametrize("k_max", [1, 4])
+def test_brute_force_total_beyond_the_double_range_is_a_domain_error(geometry, k_max, area):
+    message = f"no valid partition of area {area} at resolution 10 in {geometry.kind}"
+    with pytest.raises(DomainError) as info:
+        brute_force_min(geometry, 3, area, k_max, 10)
+    assert str(info.value) == message
 
 
 def test_domain_error_names_bound():
