@@ -82,7 +82,7 @@ def total_area(config: Configuration) -> float:
 
 def _part_perimeters(config: Configuration) -> list[float]:
     """Perimeter of each part, with no area check: the Configuration made them."""
-    return [config.n * _side(config.geometry, config.n, a) for a in config.areas]
+    return [config.n * _side(config.geometry, config.n, float(a)) for a in config.areas]
 
 
 def total_perimeter(config: Configuration) -> float:
@@ -188,7 +188,7 @@ def assess_configuration(config: Configuration) -> SplitAssessment:
     parts = _part_perimeters(config)
     steps, half_p = (), None
     if geometry.curvature < 0:
-        merged = parts[:1] + [n * _side(geometry, n, a) for a in merged_areas[1:]]
+        merged = parts[:1] + [n * _side(geometry, n, float(a)) for a in merged_areas[1:]]
         steps = tuple([
             MergeStep(pair_perimeter=p + q, merged_area=a, merged_perimeter=m)
             for p, q, a, m in zip(merged, parts[1:], merged_areas[1:], merged[1:])

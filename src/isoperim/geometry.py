@@ -194,7 +194,8 @@ def side_length(polygon: RegularPolygon) -> float:
     every finite area (the product 4*tan(pi/n)*area overflows near the
     largest double).
     """
-    return _side(polygon.geometry, polygon.n, polygon.area)
+    # the record keeps the caller's number; the kernel takes its float
+    return _side(polygon.geometry, polygon.n, float(polygon.area))
 
 
 def _half_side(n: int, x, d=None, curvature: int = -1, m=math):

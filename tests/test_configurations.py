@@ -5,6 +5,8 @@ import math
 import operator
 import random
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -233,6 +235,22 @@ def test_witness_follows_the_verdict_rule(monkeypatch):
     # a configuration that loses still names the equal split that wins
     res = assess_configuration(Configuration(HYP, 4, (1.0, 1.5)))
     assert (res.verdict, res.witness) == (Verdict.SINGLE_OPTIMAL_STRICT, witness)
+
+
+@pytest.mark.parametrize("number", [Decimal, Fraction])
+@pytest.mark.parametrize("geometry, n", [(EUC, 4), (SPH, 3), (HYP, 3)])
+def test_decimal_and_fraction_parts_give_the_float_results(geometry, n, number):
+    # the parts and merge steps keep the caller's numbers (here sums that are
+    # exact in binary too), and the side kernel takes their floats
+    parts = ("0.5", "0.75", "1.25")
+    config = Configuration(geometry, n, tuple(map(number, parts)))
+    floated = Configuration(geometry, n, tuple(map(float, parts)))
+    res = assess_configuration(config)
+    assert res == assess_configuration(floated)
+    assert total_perimeter(config) == total_perimeter(floated)
+    assert [type(s.merged_area) for s in res.merge_steps] == [number] * len(res.merge_steps)
+    if geometry is HYP:
+        assert merge_chain(config) == res and len(res.merge_steps) == 2
 
 
 @pytest.mark.parametrize("geometry, n, total", [(EUC, 4, 2.0), (SPH, 3, 1.0), (HYP, 3, 2.9)])

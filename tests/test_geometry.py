@@ -235,6 +235,20 @@ def test_numpy_side_count_gives_builtin_numbers():
 
 
 @pytest.mark.parametrize(
+    "area", [Decimal("1"), Decimal("0.1"), Fraction(3, 2), Fraction(1, 3)], ids=str
+)
+@pytest.mark.parametrize("geometry", list(Geometry))
+def test_decimal_and_fraction_areas_give_the_float_results(geometry, area):
+    # the record keeps the caller's number, and the side kernel takes its float
+    polygon, floated = RegularPolygon(geometry, 3, area), RegularPolygon(geometry, 3, float(area))
+    assert polygon.area is area
+    assert (polygon.angle, polygon.side, polygon.perimeter) == (
+        floated.angle, floated.side, floated.perimeter
+    )
+    assert polygon.perimeter == perimeter(floated) and type(polygon.side) is float
+
+
+@pytest.mark.parametrize(
     "geometry,n,area",
     [
         (EUC, 3, 0.0),

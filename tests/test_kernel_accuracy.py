@@ -181,21 +181,20 @@ def test_margin_at_a_tiny_angle_is_finite():
 
 
 # Bits of the solve in the deficit variable t = flat - x, from the
-# two-term start below n = 8 and the four-term start from there on; those
-# of n <= 12 are the two-term start's too. From threshold.SERIES_FROM = 1000
-# they are the series start's, accepted at its first margin evaluation. Each
-# is within 1.4 ulp of mpmath's root for n <= 12 except 6 and 8 (10.6 and
-# 3.7), and within 0.5 ulp from 1000 on: 0.05 at 1000 (re-pinned from the
-# solve's 0.95), 0.48 at 158489 (re-pinned from the solve's 85.5) and 0.11
-# at 10**6 (the solve's bits too).
+# two-term start below n = 8, the tabulated root on [8, 55) and the series
+# start from 55, each accepted at its first margin evaluation from n = 8.
+# Each is within 1.4 ulp of mpmath's root for n <= 7 except 6 (10.6), 0.28
+# ulp at 8 and 0.62 at 12 (re-pinned from the series start's solves, 5.7 and
+# 3.4: pi/4 itself at 8, not 6 ulp above it), and within 0.5 ulp from 1000
+# on: 0.05 at 1000, 0.48 at 158489 and 0.11 at 10**6.
 THETA_BITS = {
     3: "0x1.0aea04ac78334p-2",
     4: "0x1.af404d6b5d098p-2",
     5: "0x1.14ad63bf4fd8ep-1",
     6: "0x1.45b1846fdd77ap-1",
     7: "0x1.6ec2fc1002518p-1",
-    8: "0x1.921fb54442d1cp-1",
-    12: "0x1.fc4e581f87614p-1",
+    8: "0x1.921fb54442d18p-1",
+    12: "0x1.fc4e581f87616p-1",
     1000: "0x1.47ee2bcf9998ep+1",
     158489: "0x1.8445be18dbe2dp+1",
     10**6: "0x1.8aa03e7a5112cp+1",
@@ -221,15 +220,15 @@ def test_critical_angle_keeps_its_bits(n):
 
 # One SHA-256 over every field of the cold solves of the benchmark's theta
 # traffic: n = 3..2000, the 24 log-spaced n up to 1.5e5, and 158489, 501187
-# and 10**6, in increasing n, one line per n. Re-pinned when the 1028 n from
-# threshold.SERIES_FROM on took the series start: 1025 of the 2025 lines
-# changed (iterations in 1022, max_area in 1012, theta in 965, residual in
-# 657, x0 in none), none below 1000.
+# and 10**6, in increasing n, one line per n. Re-pinned when the tabulated
+# roots became the start of every n in [8, 55): the 47 lines of those n
+# changed (iterations in 47, theta and max_area in 41, residual in 23, x0 in
+# none), and no other line.
 THETA_TRAFFIC = sorted(
     set(range(3, 2001)) | {round(2000 * 75 ** (j / 24)) for j in range(1, 25)}
     | {158489, 501187, 10**6}
 )
-THETA_TRAFFIC_DIGEST = "435bb42d7c5745ef0168fd984298bec1f3cc9b833d0e302c8f938b405a5b9cd8"
+THETA_TRAFFIC_DIGEST = "952a205c6daa02a9486cdd1dd13cc50e23ec151d7d23aeaeec5daac744ebcdbe"
 
 
 def test_critical_angle_keeps_its_bits_over_the_theta_traffic():

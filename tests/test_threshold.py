@@ -46,18 +46,18 @@ def solve(n):
 
 
 def start_of(n):
-    """The solver's start t0 for n."""
-    a = math.pi / n
-    if n >= threshold.SERIES_FROM:
-        c0, c1, c2, c3, c4, c5, c6 = threshold.SERIES
-        e = a ** (1.0 / 3.0)
-        e -= (e - a / (e * e)) / 3.0
-        e2 = e * e
-        return e * (c0 + e2 * (c1 + e2 * (c2 + e2 * (c3 + e2 * (c4 + e2 * (c5 + e2 * c6))))))
-    t0 = 4.0 * a ** (1.0 / 3.0) - 4.0 * a
-    if n >= threshold.START_TERMS_FROM:
-        t0 += a ** (5.0 / 3.0) * (56.0 / 45.0 - 268.0 / 567.0 * a ** (2.0 / 3.0))
-    return t0
+    """The solver's start t0 for n: threshold.ROOTS, or threshold.SERIES whatever its length."""
+    a, series = math.pi / n, threshold.SERIES
+    if n < threshold.START_TERMS_FROM:
+        return series[0] * a ** (1.0 / 3.0) + series[1] * a
+    if n < threshold.SERIES_FROM:
+        return threshold.ROOTS[n - threshold.START_TERMS_FROM]
+    e = a ** (1.0 / 3.0)
+    e -= (e - a / (e * e)) / 3.0
+    t = 0.0
+    for c in reversed(series):  # Horner in e**2, as the solver's inline form
+        t = t * (e * e) + c
+    return e * t
 
 
 def fake_kernels(monkeypatch, psi):
@@ -402,8 +402,8 @@ def test_cold_solves_evaluate_the_slope_only_where_a_step_is_taken(monkeypatch):
         assert margins[-1][0] not in slopes  # the last margin is at the accepted t
         assert (len(margins), len(slopes)) == (res.iterations, res.iterations - 1)
         margin_count, slope_count = margin_count + len(margins), slope_count + len(slopes)
-    # measured 1.59 and 0.59, the 1001 n from SERIES_FROM on at 1 and 0
-    assert margin_count / len(ns) <= 1.6 and slope_count / len(ns) <= 0.6
+    # measured 1.0145 and 0.0145, the 1993 n from START_TERMS_FROM on at 1 and 0
+    assert margin_count / len(ns) <= 1.015 and slope_count / len(ns) <= 0.015
 
 
 # ------------------------------------------------ the series of the root
@@ -411,12 +411,14 @@ def test_cold_solves_evaluate_the_slope_only_where_a_step_is_taken(monkeypatch):
 # Truncated power series in e = (pi/n)**(1/3), as lists of Fractions: the
 # coefficient of e**k at index k, through e**degree.
 
-# t/e's coefficients of e**0, e**2, ..., e**12, as threshold.SERIES rounds
-# them, and the first one it leaves out: t's e**15 coefficient is zero, its
-# e**17 coefficient this
+# t/e's coefficients of e**0, e**2, ..., e**24, as threshold.SERIES rounds
+# them, and the first one it leaves out: t's e**27 coefficient is zero, its
+# e**29 coefficient this
 SERIES_TERMS = [4, -4, Fraction(56, 45), Fraction(-268, 567), 0, Fraction(1352, 8019),
-                Fraction(-47504, 426465)]
-SERIES_REMAINDER = Fraction(289976, 5019165)
+                Fraction(-47504, 426465), 0, Fraction(289976, 5019165),
+                Fraction(-45603556, 1060224795), 0, Fraction(42011744, 1650124305),
+                Fraction(-451723252, 22599528525)]
+SERIES_REMAINDER = Fraction(75229194016, 5898476945025)
 
 
 def _mul(p, q, degree):
@@ -497,27 +499,27 @@ def derived_series(terms):
 
 
 def test_series_coefficients_derived_exactly():
-    # the margin vanishes through e**17 for the solver's six nonzero terms and
-    # zero e**9 and e**15 terms, so they are the root's series through e**15
-    # (de Bruijn, Asymptotic Methods in Analysis, ch. 2)
-    assert derived_series(9) == SERIES_TERMS + [0, SERIES_REMAINDER]
+    # the margin vanishes through e**29 for the solver's ten nonzero terms and
+    # zero e**9, e**15, e**21 and e**27 terms, so they are the root's series
+    # through e**27 (de Bruijn, Asymptotic Methods in Analysis, ch. 2)
+    assert derived_series(15) == SERIES_TERMS + [0, SERIES_REMAINDER]
     assert threshold.SERIES == tuple(map(float, SERIES_TERMS))
-    t = [Fraction(0)] * 18
+    t = [Fraction(0)] * 30
     for k, ck in enumerate(SERIES_TERMS):
         t[2 * k + 1] = Fraction(ck)
-    assert not any(series_margin(t, 17))
+    assert not any(series_margin(t, 29))
 
 
 def test_start_coefficients_from_high_precision_roots():
-    # independently of derived_series: in 100-digit roots of the margin in t,
-    # t minus its six-term series is SERIES_REMAINDER*e**17 + O(e**19), for
-    # e = (pi/n)**(1/3): so it falls like a**(17/3) in a = pi/n, which a wrong
-    # coefficient of e**k, k <= 15, would turn into a**(k/3). Measured: the
-    # quotient 7.4e-6, 3.4e-7 and 1.6e-8 relative below SERIES_REMAINDER, as
-    # an e**19 term of -0.043 gives. (At 80 digits the margin's cancellation
-    # puts the quotient at 10**12 6.4e-4 off.)
+    # independently of derived_series: in 150-digit roots of the margin in t,
+    # t minus its series is SERIES_REMAINDER*e**29 + O(e**31), for
+    # e = (pi/n)**(1/3): so it falls like a**(29/3) in a = pi/n, which a wrong
+    # coefficient of e**k, k <= 27, would turn into a**(k/3). Measured: the
+    # quotient 8.1e-6, 3.7e-7 and 1.7e-8 relative below SERIES_REMAINDER, as
+    # an e**31 term of -0.0103 gives. (At 120 digits the margin's cancellation
+    # puts the quotient at 10**12 3.6e3 off.)
     remainders = []
-    with mp.workdps(100):
+    with mp.workdps(150):
         terms = [mp.mpf(ck.numerator) / ck.denominator for ck in map(Fraction, SERIES_TERMS)]
         for n in (10**8, 10**10, 10**12):
             a = mp.pi / n
@@ -525,18 +527,45 @@ def test_start_coefficients_from_high_precision_roots():
             margin = lambda t: (  # noqa: E731
                 2 * mp.acosh(c / mp.cos(a + t / 4)) - mp.acosh(c / mp.cos(a + t / 2))
             )
-            six = e * mp.polyval(terms[::-1], e**2)
-            t = mp.findroot(margin, six, tol=mp.mpf(10) ** -95)
-            remainders.append((t - six, a, e))
+            series = e * mp.polyval(terms[::-1], e**2)
+            t = mp.findroot(margin, series, tol=mp.mpf(10) ** -145)
+            remainders.append((t - series, a, e))
         for r, a, e in remainders:
-            assert abs(r / e**17 / SERIES_REMAINDER - 1) <= 1e-5
+            assert abs(r / e**29 / SERIES_REMAINDER - 1) <= 1e-5
         for (ra, aa, _), (rb, ab, _) in zip(remainders, remainders[1:]):
-            assert abs(mp.log(rb / ra) / mp.log(ab / aa) - mp.mpf(17) / 3) <= 1e-5
+            assert abs(mp.log(rb / ra) / mp.log(ab / aa) - mp.mpf(29) / 3) <= 1e-5
 
 
-# From SERIES_FROM the start is the series, within the floor at every n to
-# 10**6, so the solve stops at its first evaluation
-@pytest.mark.parametrize("n", [threshold.SERIES_FROM, 10**4, 158489, 501187, 765935, 10**6])
+# From threshold.SERIES_FROM the series start is within the floor at every n
+# to 10**6, so the solve stops at its first evaluation (measured over every n
+# in [8, 10**6]; CI checks it on every push). Each n in [START_TERMS_FROM, 55)
+# would go on to the solve from the series, from a start 6.0e-7 (n = 8) to
+# 9.7e-15 (n = 54) relative off the root (8.1e-15 at n = 55): there the start
+# is the tabulated root, threshold.ROOTS.
+SERIES_ACCEPTED_FROM = threshold.SERIES_FROM
+
+
+def test_roots_are_the_rounded_high_precision_roots():
+    n0 = threshold.START_TERMS_FROM
+    assert len(threshold.ROOTS) == SERIES_ACCEPTED_FROM - n0
+    with mp.workdps(50):
+        for n, t in enumerate(threshold.ROOTS, n0):
+            flat = (n - 2) * mp.pi / n
+            assert float(flat - mp_root(n, domain_hi(n) - t)) == t
+
+
+def test_every_tabulated_root_is_accepted_at_one_evaluation(monkeypatch):
+    spy = Spy(monkeypatch)
+    ns = range(threshold.START_TERMS_FROM, SERIES_ACCEPTED_FROM)
+    for n in ns:
+        res = solve(n)
+        assert (res.max_area, res.iterations) == (n * start_of(n), 1)
+    assert len(spy.margins) == len(ns) and spy.slopes == []
+
+
+@pytest.mark.parametrize(
+    "n", [SERIES_ACCEPTED_FROM, 100, 1000, 10**4, 158489, 501187, 765935, 10**6]
+)
 def test_series_start_is_the_root_at_one_margin_evaluation(monkeypatch, n):
     spy = Spy(monkeypatch)
     res = solve(n)
@@ -548,12 +577,23 @@ def test_series_start_is_the_root_at_one_margin_evaluation(monkeypatch, n):
     assert res.residual == abs(margin) <= floor
 
 
-@pytest.mark.parametrize("n", [threshold.SERIES_FROM, 10**4, 765935])
+def test_every_n_from_the_series_bound_takes_one_iteration(monkeypatch):
+    spy = Spy(monkeypatch)
+    ns = range(SERIES_ACCEPTED_FROM, 2001)
+    assert all(solve(n).iterations == 1 for n in ns)
+    assert len(spy.margins) == len(ns) and spy.slopes == []
+
+
+@pytest.mark.parametrize("n", [
+    threshold.START_TERMS_FROM, SERIES_ACCEPTED_FROM - 1, SERIES_ACCEPTED_FROM, 10**4, 765935,
+])
 def test_a_wrong_series_falls_back_to_the_solve(monkeypatch, n):
-    # dropping the e**5 term puts the start 1e-4 (at SERIES_FROM) to 2e-8 (at
-    # 765935) off the root, outside the floor: the loop goes on from it
+    # dropping the e**5 term puts the start 8e-3 (at SERIES_ACCEPTED_FROM) to
+    # 2e-8 (at 765935) off the root, and scaling the tabulated roots by
+    # 1 + 1e-9 puts theirs 1e-9 off, outside the floor: the loop goes on from it
     series = solve(n)
     monkeypatch.setattr(threshold, "SERIES", threshold.SERIES[:2] + (0.0,) + threshold.SERIES[3:])
+    monkeypatch.setattr(threshold, "ROOTS", tuple(t * (1.0 + 1e-9) for t in threshold.ROOTS))
     t = start_of(n)
     spy = Spy(monkeypatch)
     res = solve(n)
@@ -570,27 +610,40 @@ def mp_margin(n: int, x: mp.mpf) -> mp.mpf:
     return 2 * mp_half_side(n, x / 2 + mp.pi / 2 - mp.pi / n) - mp_half_side(n, x)
 
 
-# The solve's bounds, below SERIES_FROM and for a start that falls back to
-# it. Its measured worst cases over every n in [3, 10^6], against mpmath at 40
+# The solve's bounds, below START_TERMS_FROM and for a start that falls
+# back to it. Its measured worst cases over every n in [3, 10^6], against mpmath at 40
 # digits: 4.71e-14 for theta and 2.256e-12 for max_area, both at n = 765935
 # (680172 reads 1.08e-14 and 5.0e-13). Both
 # are the margin's rounding noise over its slope in t; max_area = n*t keeps
 # t's relative error, which no cancellation against (n - 2)*pi inflates.
 THETA_REL_TOL = 1e-13
 AREA_REL_TOL = 2.5e-12
-# The series' bounds, from SERIES_FROM on. Measured worst cases over every n
-# in [SERIES_FROM, 10^6] against mpmath at 40 digits, each the series start
-# accepted: 2.94e-16 for theta (2.0 ulp, at n = 10721) and 8.07e-16 for
-# max_area (4.1 ulp, at n = 1017). At SERIES_FROM the left-out e**17 term
-# is 6.5e-16 of t; from n = 2000 max_area reads at most 4e-16.
+# The series' bounds, each the series start accepted. Measured worst cases
+# against mpmath at 40 digits over every n in [SERIES_ACCEPTED_FROM, 100):
+# 6.33e-15 for theta and 8.09e-15 for max_area, both at n = 55, where the
+# left-out e**29 term is 8e-15 of t. From n = 100 that term is below 3e-17 of
+# t; over every n in [100, 10^6]: 3.78e-16 for theta (at n = 166) and 3.94e-16
+# for max_area (at n = 796927).
 SERIES_THETA_REL_TOL = 4e-16
-SERIES_AREA_REL_TOL = 1e-15
+SERIES_AREA_REL_TOL = 4e-16
+SERIES_EDGE_THETA_REL_TOL = 7e-15
+SERIES_EDGE_AREA_REL_TOL = 1e-14
+# The tabulated roots' bounds, on [START_TERMS_FROM, SERIES_ACCEPTED_FROM).
+# Measured worst cases against mpmath at 40 digits over every such n: 5.69e-16
+# for theta (at n = 13, from rounding flat - t) and 1.49e-16 for max_area (at
+# n = 48).
+ROOTS_THETA_REL_TOL = 6e-16
+ROOTS_AREA_REL_TOL = 2e-16
 
 
 def rel_tols(n: int) -> tuple[float, float]:
     """The stated relative error bounds of theta and max_area at n."""
-    if n >= threshold.SERIES_FROM:
+    if n >= 100:
         return SERIES_THETA_REL_TOL, SERIES_AREA_REL_TOL
+    if n >= SERIES_ACCEPTED_FROM:
+        return SERIES_EDGE_THETA_REL_TOL, SERIES_EDGE_AREA_REL_TOL
+    if n >= threshold.START_TERMS_FROM:
+        return ROOTS_THETA_REL_TOL, ROOTS_AREA_REL_TOL
     return THETA_REL_TOL, AREA_REL_TOL
 
 
@@ -614,6 +667,9 @@ def assert_near_the_root(res, theta_tol: float, area_tol: float) -> None:
 
 
 @given(log_n=st.floats(min_value=math.log(3), max_value=math.log(10**6)))
+@example(log_n=math.log(13))
+@example(log_n=math.log(55))
+@example(log_n=math.log(166))
 @example(log_n=math.log(10721))
 @example(log_n=math.log(42980))
 @example(log_n=math.log(125304))
@@ -631,9 +687,12 @@ def test_critical_angle_matches_high_precision_root(log_n):
 
 
 @given(log_n=st.floats(min_value=math.log(3), max_value=math.log(10**6)))
+@example(log_n=math.log(48))
+@example(log_n=math.log(55))
 @example(log_n=math.log(999))
 @example(log_n=math.log(1004))
 @example(log_n=math.log(1017))
+@example(log_n=math.log(796927))
 @example(log_n=math.log(599885))
 @example(log_n=math.log(667986))
 @example(log_n=math.log(680172))
@@ -648,9 +707,12 @@ def test_max_area_matches_high_precision_root(log_n):
         assert abs((res.max_area - area) / area) <= rel_tols(n)[1]
 
 
-@pytest.mark.parametrize("n", [threshold.SERIES_FROM - 1, threshold.SERIES_FROM])
+@pytest.mark.parametrize("n", [
+    threshold.START_TERMS_FROM - 1, threshold.START_TERMS_FROM,
+    SERIES_ACCEPTED_FROM - 1, SERIES_ACCEPTED_FROM, 99, 100,
+])
 def test_both_sides_of_the_series_threshold(monkeypatch, n):
     spy = Spy(monkeypatch)
     res = solve(n)
-    assert (res.iterations == 1 and not spy.slopes) == (n >= threshold.SERIES_FROM)
+    assert (res.iterations == 1 and not spy.slopes) == (n >= threshold.START_TERMS_FROM)
     assert_near_the_root(res, *rel_tols(n))
