@@ -2,11 +2,12 @@
 
 The hyperbolic half-side kernel maps an interior angle x to the half side
 length of the regular n-gon with that angle, so a polygon's perimeter is
-2*n times the kernel value. The equal-split margin, built from the
-kernel, has the critical angle as its root, which threshold solves for
-with the kernel's first derivative; the two-split objective adds the half
-sides of a split, and the spherical analogue supplies the concavity
-argument for the spherical case.
+2*n times the kernel value; it is one loop over a sequence of angles
+(geometry._half_sides). The equal-split margin, built from the kernel, has
+the critical angle as its root, which threshold solves for with the
+kernel's first derivative; the two-split objective adds the half sides of
+a split, and the spherical analogue supplies the concavity argument for
+the spherical case.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .geometry import _check_sides, _flat, _half_side
+from .geometry import _check_sides, _flat, _half_side, _half_sides
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -60,16 +61,15 @@ class SplitFunctionParams:
         return _flat(self.n)
 
     def require(self, x: float) -> None:
-        if not self.lo < x < self.hi:
-            raise DomainError(
-                f"split angle must lie in the open interval ({self.lo}, {self.hi}), got {x}"
-            )
+        hi = _flat(self.n)  # lo and hi from one flat angle
+        if not (lo := self.c - hi) < x < hi:
+            raise DomainError(f"split angle must lie in the open interval ({lo}, {hi}), got {x}")
 
 
 def half_side(n: int, x: float) -> float:
     """Hyperbolic half side length arccosh(cos(pi/n)/sin(x/2)) at interior angle x.
 
-    The kernel is geometry._half_side: it forms cos(pi/n)/sin(x/2) - 1 as a
+    The kernel is geometry._half_sides: it forms cos(pi/n)/sin(x/2) - 1 as a
     product of sines and takes arccosh(1 + delta) as
     log1p(delta + sqrt(delta*(delta+2))). Its error grows like
     ulp(x)/(flat - x) next to the flat angle, where the rounding of the
@@ -77,7 +77,7 @@ def half_side(n: int, x: float) -> float:
     flat angle that deficit can cancel to 0, and the half side with it.
     """
     _require_angle(n, x)
-    return _half_side(n, x)
+    return _half_sides(n, (x,))[0]
 
 
 def _denominator(n: int, x: float) -> float:
@@ -121,7 +121,8 @@ def split_objective(params: SplitFunctionParams, x: float) -> float:
     Symmetric about c/2; total split perimeter is 2*n times this value.
     """
     params.require(x)  # then x and c - x lie in (c - flat, flat), inside (0, flat)
-    return _half_side(params.n, x) + _half_side(params.n, params.c - x)
+    k1, k2 = _half_sides(params.n, (x, params.c - x))
+    return k1 + k2
 
 
 def equal_split_margin(n: int, x: float) -> float:
@@ -132,13 +133,14 @@ def equal_split_margin(n: int, x: float) -> float:
     """
     _require_angle(n, x)
     # next to the flat angle the inner angle can round onto it, where the margin's sign is lost
-    flat = _flat(n)
-    if not _inner_angle(n, x) < flat:
+    flat, inner = _flat(n), _inner_angle(n, x)
+    if not inner < flat:
         raise DomainError(
             f"angle {x} is too close to the flat angle {flat}: "
             "the equal split's inner angle rounds onto it"
         )
-    return _margin(n, x)
+    k_inner, k = _half_sides(n, (inner, x))
+    return 2.0 * k_inner - k
 
 
 def _inner_angle(n: int, x: float) -> float:
@@ -146,6 +148,7 @@ def _inner_angle(n: int, x: float) -> float:
     return x / 2.0 + math.pi / 2.0 - math.pi / n
 
 
-def _margin(n: int, x: float) -> float:
-    """equal_split_margin without the domain checks."""
-    return 2.0 * _half_side(n, _inner_angle(n, x)) - _half_side(n, x)
+def _margins(n: int, xs: list) -> list:
+    """equal_split_margin at each angle in xs, without the domain checks."""
+    inner = _half_sides(n, (_inner_angle(n, x) for x in xs))
+    return [2.0 * k_inner - k for k_inner, k in zip(inner, _half_sides(n, xs))]

@@ -27,7 +27,7 @@ from .geometry import (
     RegularPolygon,
     _check_sides,
     _flat,
-    _half_side,
+    _half_sides,
     area_from_angle,
     side_length,
 )
@@ -175,9 +175,7 @@ def _cmd_theta(args: argparse.Namespace) -> str:
 
 
 def _cmd_split(args: argparse.Namespace) -> str:
-    from .configurations import (
-        Configuration, Verdict, _verdict, assess_configuration, assess_two_split,
-    )
+    from .configurations import Configuration, assess_configuration, assess_two_split
 
     geometry = _geometry(args.geometry)
     inputs: dict = {"geometry": geometry.kind, "n": args.n, "total_area": args.total_area}
@@ -186,9 +184,14 @@ def _cmd_split(args: argparse.Namespace) -> str:
     else:
         areas = tuple(_parse(float, part, "each --areas part") for part in args.areas.split(","))
         parts_sum = reduce(add, areas)  # left to right, as total_area adds
-        if _verdict(parts_sum, args.total_area) is not Verdict.TIE:  # NaN is no tie
+        # k parts that add up to the total as decimals: k + 1 parse roundings and
+        # k - 1 additions, each within 2**-53 relative, give to first order
+        # |sum - total| <= (k + 1)*2**-53*max(sum |part|, |total|) <= band. NaN
+        # fails the test, and so does an infinite band (an infinite total or sum).
+        band = len(areas) * 2.0**-52 * max(sum(map(abs, areas)), abs(args.total_area))
+        if not abs(parts_sum - args.total_area) <= band < math.inf:
             raise ArgumentError(
-                f"areas sum to {parts_sum}, expected {args.total_area} within 1e-9"
+                f"areas sum to {parts_sum}, expected {args.total_area} within {band}"
             )
         inputs["areas"] = list(areas)
         assessment = assess_configuration(Configuration(geometry, args.n, areas))
@@ -215,7 +218,7 @@ def _scan_grid(lo: float, hi: float) -> list[float]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> str:
-    from .analysis import SplitFunctionParams, _margin
+    from .analysis import SplitFunctionParams, _margins
 
     modes = [m for m in ("phi", "g", "h") if getattr(args, m) is not None]
     if len(modes) != 1:
@@ -237,11 +240,11 @@ def _cmd_scan(args: argparse.Namespace) -> str:
     # and the margin's inner angle lie in (0, flat), so the kernels take them unchecked
     xs = _scan_grid(lo, hi)
     if mode == "h":
-        values = [_half_side(n, x) + _half_side(n, c - x) for x in xs]
+        values = list(map(add, _half_sides(n, xs), _half_sides(n, (c - x for x in xs))))
     elif mode == "phi":
-        values = [_margin(n, x) for x in xs]
+        values = _margins(n, xs)
     else:
-        values = [_half_side(n, x) for x in xs]
+        values = _half_sides(n, xs)
 
     if args.format == "json":
         return _record("scan", inputs=inputs, results={"x": xs, "value": values})

@@ -198,7 +198,7 @@ def side_length(polygon: RegularPolygon) -> float:
     return _side(polygon.geometry, polygon.n, float(polygon.area))
 
 
-def _half_side(n: int, x, d=None, curvature: int = -1, m=math):
+def _half_side(n: int, x, d, curvature: int = -1, m=math):
     """Half side of the regular n-gon with interior angle x in a curved plane.
 
     With a = pi/n, h = (pi - x)/2 and d = a - h = (x - flat)/2, the ratio
@@ -208,38 +208,49 @@ def _half_side(n: int, x, d=None, curvature: int = -1, m=math):
     log1p(delta + sqrt(delta*(delta + 2))) with delta = -D; the spherical one
     (curvature 1) is arccos(1 - D) = 2*asin(sqrt(D/2)).
 
-    A caller that knows the deficit passes d (K*area/(2n) for an area), so
-    the numerator is never taken from a rounded x; without d, x is a
-    hyperbolic angle. With a hyperbolic d (< 0), sin((h + a)/2) = sin(a - d/2)
-    is expanded as sin(a)*cos(d/2) - cos(a)*sin(d/2), a sum of two positive
-    terms, so that one sine serves both factors: an array then takes three
-    elementwise passes, not four. In the spherical plane (d >= 0) the
-    expansion would subtract, so it keeps the sine of a - d/2. `m`
-    supplies sin, asin, log1p and sqrt: math for floats, or a namespace that
-    maps them over a 1-D numpy array with math's bits (see brute_force_min).
-    No domain check.
+    The deficit path: the caller passes d (K*area/(2n) for an area), so the
+    numerator is never taken from a rounded x (_half_sides takes an angle).
+    With a hyperbolic d (< 0), sin((h + a)/2) = sin(a - d/2) is expanded as
+    sin(a)*cos(d/2) - cos(a)*sin(d/2), a sum of two positive terms, so that
+    one sine serves both factors: an array then takes three elementwise
+    passes, not four. In the spherical plane (d >= 0) the expansion would
+    subtract, so it keeps the sine of a - d/2. `m` supplies sin, asin, log1p
+    and sqrt: math for floats, or a namespace that maps them over a 1-D numpy
+    array with math's bits (see brute_force_min). No domain check.
     """
     a = math.pi / n
-    if d is None:
-        if x < 1e-150:  # sin(x/2) = x/2 and arccosh(r) = log(2r), where delta**2 overflows
-            return math.log(4.0 * math.cos(a)) - math.log(x)
-        h = 0.5 * (math.pi - x)
-        d = a - h
-        if d >= 0.0:  # only within roundoff of the flat angle: a half side of +0.0
-            d = -0.0
-        s = m.sin(0.5 * d)
-        mid = m.sin(0.5 * (h + a))
+    s = m.sin(0.5 * d)
+    if curvature < 0:
+        mid = math.sin(a) * m.sqrt(1.0 - s * s) - math.cos(a) * s
     else:
-        s = m.sin(0.5 * d)
-        if curvature < 0:
-            mid = math.sin(a) * m.sqrt(1.0 - s * s) - math.cos(a) * s
-        else:
-            mid = m.sin(a - 0.5 * d)
+        mid = m.sin(a - 0.5 * d)
     D = 2.0 * mid * s / m.sin(0.5 * x)
     if curvature > 0:
         return 2.0 * m.asin(m.sqrt(0.5 * D))
     delta = -D
     return m.log1p(delta + m.sqrt(delta * (delta + 2.0)))
+
+
+def _half_sides(n: int, xs) -> list:
+    """Hyperbolic half sides at the angles xs: _half_side's D with d = a - h from x's terms.
+
+    The angle path: one loop over any iterable of floats, with pi/n and math's
+    functions bound once per call; no numpy caller takes it. No domain check.
+    """
+    pi, sin, sqrt, log1p = math.pi, math.sin, math.sqrt, math.log1p
+    a = pi / n
+    out = []
+    for x in xs:
+        if x < 1e-150:  # sin(x/2) = x/2 and arccosh(r) = log(2r), where delta**2 overflows
+            out.append(math.log(4.0 * math.cos(a)) - math.log(x))
+            continue
+        h = 0.5 * (pi - x)
+        d = a - h
+        if d >= 0.0:  # only within roundoff of the flat angle: a half side of +0.0
+            d = -0.0
+        delta = -2.0 * sin(0.5 * (h + a)) * sin(0.5 * d) / sin(0.5 * x)
+        out.append(log1p(delta + sqrt(delta * (delta + 2.0))))
+    return out
 
 
 def _side(geometry: Geometry, n: int, area, m=math):

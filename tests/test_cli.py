@@ -152,7 +152,7 @@ def test_non_finite_output_exits_3(capsys, monkeypatch):
 
 
 def test_non_finite_number_inside_a_list_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_half_side", lambda n, x: math.inf)
+    monkeypatch.setattr(cli, "_half_sides", lambda n, xs: [math.inf for _ in xs])
     code, out, err = run_cli(capsys, "scan", "--g", "3", "--format", "json")
     assert (code, out) == (3, "")
     error = json.loads(err)["error"]
@@ -422,16 +422,32 @@ def test_split_areas_evaluates_each_perimeter_once(capsys, monkeypatch, argv, ca
 
 
 @pytest.mark.parametrize("geometry", ["euclidean", "spherical", "hyperbolic"])
-def test_split_single_polygon_holds_the_parts_sum(capsys, geometry):
-    # the part sum may miss --total-area by up to 1e-9; the single polygon
-    # is built from the sum, so a one-part configuration ties in every plane
+@pytest.mark.parametrize("areas", ["0.6000000000000001", "0.1,0.2,0.3"])
+def test_split_single_polygon_holds_the_parts_sum(capsys, geometry, areas):
+    # the part sum may miss --total-area by the parts' input rounding, here
+    # one ulp; the single polygon is built from the sum 0.6000000000000001,
+    # so a one-part configuration ties in every plane
     code, out, _ = run_cli(
-        capsys, "split", geometry, "3", "--total-area", "1", "--areas", "0.9999999995"
+        capsys, "split", geometry, "3", "--total-area", "0.6", "--areas", areas
     )
     assert code == 0
     results = record_of(out)["results"]
-    assert results["verdict"] == "tie"
-    assert results["single_perimeter"] == results["config_perimeter"]
+    single = RegularPolygon(Geometry(geometry), 3, 0.6000000000000001)
+    assert results["single_perimeter"] == perimeter(single)
+    if "," not in areas:
+        assert results["verdict"] == "tie"
+        assert results["single_perimeter"] == results["config_perimeter"]
+
+
+def test_split_accepts_parts_within_their_input_rounding(capsys):
+    # decimals that add up exactly, though the floats' sum misses the total's
+    # float by one ulp (2.4e-7), which an absolute 1e-9 refused
+    code, out, err = run_cli(
+        capsys, "split", "euclidean", "4", "--total-area", "1111111110.4",
+        "--areas", "123456789.1,987654321.3",
+    )
+    assert (code, err) == (0, "")
+    assert record_of(out)["inputs"]["areas"] == [123456789.1, 987654321.3]
 
 
 def test_split_sum_mismatch(capsys):
@@ -463,15 +479,23 @@ def test_split_area_that_is_not_a_number(capsys, areas, text):
     "argv, message",
     [
         (["euclidean", "4", "--total-area", "25", "--areas", "9,15"],
-         "areas sum to 24.0, expected 25.0 within 1e-9"),
-        # |sum - nan| > 1e-9 is False: a NaN total passed the check and was
+         "areas sum to 24.0, expected 25.0 within 1.1102230246251565e-14"),
+        # |sum - nan| > tol is False: a NaN total passed the check and was
         # reported as non-convergence (exit 3) once it reached the JSON writer
         (["euclidean", "4", "--total-area", "nan", "--areas", "9,16"],
-         "areas sum to 25.0, expected nan within 1e-9"),
+         "areas sum to 25.0, expected nan within 1.1102230246251565e-14"),
         (["hyperbolic", "3", "--total-area", "nan", "--areas", "0.5,0.7"],
-         "areas sum to 1.2, expected nan within 1e-9"),
+         "areas sum to 1.2, expected nan within 5.329070518200751e-16"),
         (["euclidean", "4", "--total-area", "inf", "--areas", "9,inf"],
-         "areas sum to inf, expected inf within 1e-9"),
+         "areas sum to inf, expected inf within inf"),
+        (["euclidean", "4", "--total-area", "inf", "--areas", "9,16"],
+         "areas sum to 25.0, expected inf within inf"),
+        # a sum past the double range, against a finite total
+        (["euclidean", "4", "--total-area", "1e308", "--areas", "1e308,1e308"],
+         "areas sum to inf, expected 1e+308 within inf"),
+        # an absolute 1e-9 took these for a total 200 times the stated one
+        (["hyperbolic", "3", "--total-area", "1e-12", "--areas", "1e-10,1e-10"],
+         "areas sum to 2e-10, expected 1e-12 within 8.881784197001253e-26"),
     ],
 )
 def test_split_sum_mismatch_is_an_argument_error(capsys, argv, message):
@@ -490,7 +514,7 @@ def test_split_area_sum_is_left_to_right(capsys):
     )
     assert code == 2 and out == ""
     message = json.loads(err)["error"]["message"]
-    assert message == "areas sum to 0.6000000000000001, expected 0.7 within 1e-9"
+    assert message == "areas sum to 0.6000000000000001, expected 0.7 within 4.662936703425657e-16"
 
 
 # ------------------------------------------------------------------- scan

@@ -1037,21 +1037,21 @@ def test_two_split_evaluates_the_single_and_the_half_once(monkeypatch, geometry)
     # no half side from an angle alone (the threshold is cached beforehand)
     critical_angle(5)
     calls = {"side": 0, "angle": 0}
-    side, half_side = geometry_module._side, geometry_module._half_side
+    side, half_sides = geometry_module._side, geometry_module._half_sides
 
     def counting_side(*args):
         calls["side"] += 1
         return side(*args)
 
-    def counting_half_side(n, x, *deficit):
-        calls["angle"] += not deficit
-        return half_side(n, x, *deficit)
+    def counting_half_sides(n, xs):
+        calls["angle"] += 1
+        return half_sides(n, xs)
 
     for module in (configurations, analysis_module, geometry_module):
         if hasattr(module, "_side"):
             monkeypatch.setattr(module, "_side", counting_side)
-        if hasattr(module, "_half_side"):
-            monkeypatch.setattr(module, "_half_side", counting_half_side)
+        if hasattr(module, "_half_sides"):
+            monkeypatch.setattr(module, "_half_sides", counting_half_sides)
     assess_two_split(geometry, 5, 1.5)
     assert calls == {"side": 2, "angle": 0}
 

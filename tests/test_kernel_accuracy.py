@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from isoperim import (
     Geometry,
     RegularPolygon,
+    SplitFunctionParams,
     angle_from_area,
     area_bounds,
     critical_angle,
@@ -27,6 +28,7 @@ from isoperim import (
     half_side_d1,
     perimeter,
     spherical_half_side,
+    split_objective,
 )
 
 SPH = Geometry.SPHERICAL
@@ -140,7 +142,7 @@ def test_spherical_half_side_next_to_the_flat_angle():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP 2(a): the angle path forms d = pi/n - (pi - x)/2 in rounded terms, "
+    reason="ROADMAP 1(a): the angle path forms d = pi/n - (pi - x)/2 in rounded terms, "
     "which cancel to 0 one ulp below the flat angle; it needs the exact-pi flat angle",
 )
 @pytest.mark.parametrize("n", [28, 655, 1418])
@@ -244,3 +246,56 @@ def test_critical_angle_keeps_its_bits_over_the_theta_traffic():
 @pytest.mark.parametrize("n, x, expected", HALF_SIDE_BITS)
 def test_half_side_keeps_its_bits(n, x, expected):
     assert half_side(n, float.fromhex(x)).hex() == expected
+
+
+# The angle path's bits, taken before it became one sequence kernel: per
+# (n, x), half_side and equal_split_margin at x = 1e-160 (the log form), one
+# ulp below the flat angle at n = 28 (the clamp: 0.0 until the flat angle is
+# formed from exact-pi parts, ROADMAP 1(a)) and at half and 0.99 of the flat
+# angle. SPLIT_BITS: split_objective at c = 1.5*flat, x = 0.75*flat and one
+# ulp below flat; its x cannot reach the log form (x > c - flat >= ulp).
+ANGLE_PATH_BITS = [
+    (3, "0x1.67e9c127b6e74p-532", "0x1.711b54c222778p+8", "-0x1.6e8daadb6c9d4p+8"),
+    (10**6, "0x1.67e9c127b6e74p-532", "0x1.71ccc6da1a43ep+8", "-0x1.7009832978a8bp+8"),
+    (28, "0x1.7566960887304p+1", "0x0.0p+0", "0x0.0p+0"),
+    (3, "0x1.0c152382d7365p-1", "0x1.46d4f35aed1e3p+0", "0x1.01ede48771f78p-2"),
+    (3, "0x1.0966d8ea7e052p+0", "0x1.1513e8327e986p-3", "0x1.c781bc22e7aa4p-5"),
+    (4, "0x1.921fb54442d18p-1", "0x1.3966e3ca4b538p+0", "0x1.c5327b70f06e8p-3"),
+    (4, "0x1.8e1a455fbd07cp+0", "0x1.0207b7f2364e6p-3", "0x1.a7af7619cc75cp-5"),
+    (6, "0x1.0c152382d7365p+0", "0x1.256e66a48a3b8p+0", "0x1.5dae03a7b03e8p-3"),
+    (6, "0x1.0966d8ea7e052p+1", "0x1.c59968f254b1cp-4", "0x1.7341c8be67eb4p-5"),
+    (12, "0x1.4f1a6c638d03fp+0", "0x1.0947c5594881ap+0", "0x1.61b1901d7e5e0p-4"),
+    (12, "0x1.4bc08f251d867p+1", "0x1.5bbdb263f514ap-4", "0x1.1977427f2711ep-5"),
+    (1000, "0x1.9151d2168e75fp+0", "0x1.c465e220d17a6p-1", "-0x1.275fd228326d0p-4"),
+    (1000, "0x1.8d4e714469323p+1", "0x1.3001ebe8770f5p-6", "0x1.45f7c095199e8p-9"),
+    (10**6, "0x1.921f808f392a8p+0", "0x1.c343b0a19b336p-1", "-0x1.331512ea7a760p-4"),
+    (10**6, "0x1.8e1a1131a18dfp+1", "0x1.016bba5fb0a00p-6", "0x1.6479b8ccb4000p-19"),
+]
+SPLIT_BITS = [
+    (3, "0x1.921fb54442d18p+0", "0x1.921fb54442d18p-1", "0x1.87506c7cc99c1p+0"),
+    (3, "0x1.921fb54442d18p+0", "0x1.0c152382d7364p+0", "0x1.46d4f3d20b2d4p+0"),
+    (4, "0x1.2d97c7f3321d2p+1", "0x1.2d97c7f3321d2p+0", "0x1.720d333869615p+0"),
+    (4, "0x1.2d97c7f3321d2p+1", "0x1.921fb54442d17p+0", "0x1.3966e40a4b538p+0"),
+    (6, "0x1.921fb54442d18p+1", "0x1.921fb54442d18p+0", "0x1.5124271980435p+0"),
+    (6, "0x1.921fb54442d18p+1", "0x1.0c152382d7364p+1", "0x1.256e66f8c4c9bp+0"),
+    (12, "0x1.f6a7a2955385ep+1", "0x1.f6a7a2955385ep+0", "0x1.1f62de5b20679p+0"),
+    (12, "0x1.f6a7a2955385ep+1", "0x1.4f1a6c638d03ep+1", "0x1.0947c581db8bdp+0"),
+    (28, "0x1.180cf08665644p+2", "0x1.180cf08665644p+1", "0x1.edae7ae8f3313p-1"),
+    (28, "0x1.180cf08665644p+2", "0x1.7566960887304p+1", "0x1.e8bfa098f0bf4p-1"),
+    (1000, "0x1.2cfd5d90ead87p+2", "0x1.2cfd5d90ead87p+1", "0x1.9f79e7dbcb2d0p-1"),
+    (1000, "0x1.2cfd5d90ead87p+2", "0x1.9151d2168e75ep+1", "0x1.c465e22b8d43ap-1"),
+    (10**6, "0x1.2d97a06b6adfep+2", "0x1.2d97a06b6adfep+1", "0x1.9ce10e444be4ap-1"),
+    (10**6, "0x1.2d97a06b6adfep+2", "0x1.921f808f392a7p+1", "0x1.c343b0a1eaf7ap-1"),
+]
+
+
+@pytest.mark.parametrize("n, x, k, margin", ANGLE_PATH_BITS)
+def test_angle_path_keeps_its_bits(n, x, k, margin):
+    x = float.fromhex(x)
+    assert (half_side(n, x).hex(), equal_split_margin(n, x).hex()) == (k, margin)
+
+
+@pytest.mark.parametrize("n, c, x, expected", SPLIT_BITS)
+def test_split_objective_keeps_its_bits(n, c, x, expected):
+    params = SplitFunctionParams(n, float.fromhex(c))
+    assert split_objective(params, float.fromhex(x)).hex() == expected
