@@ -349,9 +349,7 @@ def brute_force_min(
     # cells stand for R^3/144 vectors. A prefix above its cell's minimum
     # can still tie after rounding, so each tied cell's prefixes are scored
     # again (_first_tie).
-    u = np.arange((0, 0, R // 3, R // 2)[k_max - 1] + 1)
-    b_lo = (u + 1) // 2 if k_max == 4 else u  # below four parts, a = 0
-    c_hi = (R - u) // 2  # c <= d
+
     # 0 < u * unit < hi holds for an initial run of the unit counts u, so
     # perims is finite exactly on 1..finite.
     areas = np.arange(1, R + 1) * unit
@@ -360,27 +358,38 @@ def brute_force_min(
     perims[0] = 0.0  # an absent part: 0 + p is p, so no sum changes
     perims[1 : finite + 1] = n * _side(geometry, n, areas[:finite], _elementwise(np))
 
-    # No cell of row u scores below lb[u], the larger of two bounds; both need
-    # only P >= 0 (and sums far from overflow: perimeters stay below 1e155).
-    # With S the suffix minima of perims and b0 = b_lo[u]:
-    # (1) (S[b0] + S[b0]) + S[ceil((R - u)/2)]: P[a] + P[b] >= P[b] >= S[b0],
-    #     P[c] >= S[b0] as c >= b, P[d] >= S[ceil((R - u)/2)] as d >= c, and
-    #     rounded addition is monotone.
-    # (2) A line under the table: with m = min P[i]/i over i >= 1,
-    #     P[c] + P[d] >= m*(R - u), and the rounded prefix fl(P[a] + P[b]) is
-    #     at least h = S[b0] (P[u] itself below four parts, where a = 0). The
-    #     score's last two roundings leave it >= (h + m*(R - u))*(1 - eps)^2,
-    #     eps = 2^-53. The computed m may round up, by eps relative (below
-    #     2^-1000, where P[i]/i may be subnormal, m is taken as 0), and forming
-    #     the bound rounds three times more: it is at most
-    #     (h + m*(R - u))*(1 + eps)^4*(1 - 2^-45), below the score as 2^-45
-    #     is far above 6*eps.
-    # A row with lb above the best score so far can neither win nor tie, and
-    # the best only falls, so it is skipped. The single polygon (0, 0, 0, R)
-    # is the smallest vector of all, so the best starts there, at P[R].
-    # lb ends at the last row with cells: c_hi >= b_lo holds on a prefix of u.
-    # One row (k_max = 2) needs no bound.
+    # Row u = 0 holds the single polygon and every two-part split
+    # (0, 0, c, R - c), c <= R // 2, scored (0 + P[c]) + P[R - c]: exactly
+    # P[c] + P[R - c], one sum of the table's head and its reversed tail. Its
+    # vectors are the smallest of all, and have the fewest parts, so argmin's
+    # first index is the row's winner, and a later row replaces it only by
+    # scoring strictly less. One row (k_max = 2) needs no more.
+    row0 = perims[: R // 2 + 1] + perims[R - R // 2 :][::-1]
+    c0 = int(row0.argmin())
+    best = (float(row0[c0]), (0, 0, c0, R - c0))  # (least score, first vector)
     if k_max > 2:
+        u = np.arange((R // 3, R // 2)[k_max - 3] + 1)
+        b_lo = (u + 1) // 2 if k_max == 4 else u  # below four parts, a = 0
+        c_hi = (R - u) // 2  # c <= d
+        # No cell of row u scores below lb[u], the larger of two bounds; both need
+        # only P >= 0 (and sums far from overflow: perimeters stay below 1e155).
+        # With S the suffix minima of perims and b0 = b_lo[u]:
+        # (1) (S[b0] + S[b0]) + S[ceil((R - u)/2)]: P[a] + P[b] >= P[b] >= S[b0],
+        #     P[c] >= S[b0] as c >= b, P[d] >= S[ceil((R - u)/2)] as d >= c, and
+        #     rounded addition is monotone.
+        # (2) A line under the table: with m = min P[i]/i over i >= 1,
+        #     P[c] + P[d] >= m*(R - u), and the rounded prefix fl(P[a] + P[b]) is
+        #     at least h = S[b0] (P[u] itself below four parts, where a = 0). The
+        #     score's last two roundings leave it >= (h + m*(R - u))*(1 - eps)^2,
+        #     eps = 2^-53. The computed m may round up, by eps relative (below
+        #     2^-1000, where P[i]/i may be subnormal, m is taken as 0), and forming
+        #     the bound rounds three times more: it is at most
+        #     (h + m*(R - u))*(1 + eps)^4*(1 - 2^-45), below the score as 2^-45
+        #     is far above 6*eps.
+        # A row with lb above the best score so far can neither win nor tie, and
+        # the best only falls, so it is skipped: a block holds only rows past
+        # u = 0 whose bound reaches row 0's least, or the best found since.
+        # lb ends at the last row with cells: c_hi >= b_lo holds on a prefix of u.
         S = np.minimum.accumulate(perims[::-1])[::-1]
         m = float((perims[1:] / np.arange(1, R + 1)).min())
         m = m if m >= 2.0**-1000 else 0.0
@@ -388,33 +397,30 @@ def brute_force_min(
         lb = np.maximum(
             (S[b_lo] + S[b_lo]) + S[(R - u + 1) // 2], (h + m * (R - u)) * (1.0 - 2.0**-45)
         )[: np.count_nonzero(c_hi >= b_lo)]
-    else:
-        lb = np.zeros(1)
-    best = (float(perims[R]), (0, 0, 0, R))  # (least score, first vector)
-    r0 = 0
-    # a block of about _CHUNK cells is as wide as its first row; the row
-    # widths c_hi - b_lo + 1 never rise, so later rows' extra columns are masked
-    while (rows := r0 + np.flatnonzero(lb[r0:] <= best[0])).size:
-        width = int(c_hi[rows[0]] - b_lo[rows[0]]) + 1
-        rows = rows[: _CHUNK // width]
-        c = b_lo[rows, None] + np.arange(width)
-        ur, score = u[rows, None], np.empty(c.shape)
-        # the prefix columns b = c <= u come first, most of them in the last row
-        w = min(c.shape[1], int(u[rows[-1]] - b_lo[rows[-1]]) + 1)
-        g = perims[ur - c[:, :w]] + perims[c[:, :w]]
-        g[c[:, :w] > ur] = np.inf  # no prefix there (and u - c wraps)
-        score[:, :w] = np.minimum.accumulate(g, axis=1)
-        score[:, w:] = score[:, w - 1 : w]
-        score += perims[c]
-        score += perims[R - ur - c]
-        score[c > c_hi[rows, None]] = np.inf  # past the row's last cell
-        value = float(score.min())
-        if value <= best[0] and value < math.inf:
-            row, col = np.nonzero(score == value)
-            tie = _first_tie(perims, R, value, ur[row, 0], b_lo[rows[row]], c[row, col])
-            best = min(best, (value, tie))
-        del score, g, c  # before the next block is built
-        r0 = rows[-1] + 1
+        r0 = 1
+        # a block of about _CHUNK cells is as wide as its first row; the row
+        # widths c_hi - b_lo + 1 never rise, so later rows' extra columns are masked
+        while (rows := r0 + np.flatnonzero(lb[r0:] <= best[0])).size:
+            width = int(c_hi[rows[0]] - b_lo[rows[0]]) + 1
+            rows = rows[: _CHUNK // width]
+            c = b_lo[rows, None] + np.arange(width)
+            ur, score = u[rows, None], np.empty(c.shape)
+            # the prefix columns b = c <= u come first, most of them in the last row
+            w = min(c.shape[1], int(u[rows[-1]] - b_lo[rows[-1]]) + 1)
+            g = perims[ur - c[:, :w]] + perims[c[:, :w]]
+            g[c[:, :w] > ur] = np.inf  # no prefix there (and u - c wraps)
+            score[:, :w] = np.minimum.accumulate(g, axis=1)
+            score[:, w:] = score[:, w - 1 : w]
+            score += perims[c]
+            score += perims[R - ur - c]
+            score[c > c_hi[rows, None]] = np.inf  # past the row's last cell
+            value = float(score.min())
+            if value <= best[0] and value < math.inf:
+                row, col = np.nonzero(score == value)
+                tie = _first_tie(perims, R, value, ur[row, 0], b_lo[rows[row]], c[row, col])
+                best = min(best, (value, tie))
+            del score, g, c  # before the next block is built
+            r0 = rows[-1] + 1
 
     areas = tuple(units * unit for units in best[1] if units)
     return _grid_result(geometry, n, total, R, best[0], areas)

@@ -784,54 +784,56 @@ def row_bounds(P, k_max):
 
 
 def rows_scored(P, k_max, best):
-    """Rows the oracle scores when `best` lies in row u = 0.
+    """Rows the oracle scores in blocks when `best` lies in row u = 0.
 
-    The best starts at P[R], the single polygon; the first block takes as
-    many of the rows whose bound does not exceed it as a block of row 0's
-    width holds, and after it only rows whose bound does not exceed `best`.
+    Row 0, the single polygon and every two-part split, is scored on its own
+    and seeds the best; the blocks then hold only the rows u >= 1 whose bound
+    does not exceed it.
     """
-    R = len(P) - 1
-    lb = row_bounds(P, k_max)
-    first = [u for u, x in enumerate(lb) if x <= P[R]][: configurations._CHUNK // (R // 2 + 1)]
-    return len(first) + sum(x <= best for x in lb[first[-1] + 1 :])
+    return sum(x <= best for x in row_bounds(P, k_max)[1:])
 
 
 def test_brute_force_skips_rows_that_cannot_win(scored_rows):
     # Flat squares, R = 2000: the single square P[R] wins in row u = 0, and
     # the line m*(R - u) under the table (P[i] >= m*i, m = P[R]/R as P is
-    # concave) puts every later row's bound above P[R]: one row is scored.
+    # concave) puts every later row's bound above P[R]: no block is scored.
     R = 2000
     P = [0.0] + [perimeter(RegularPolygon(EUC, 4, u * (1.0 / R))) for u in range(1, R + 1)]
-    for k_max in (3, 4):
+    for k_max in (2, 3, 4):
         scored_rows.clear()
         best, p = brute_force_min(EUC, 4, 1.0, k_max, R)
         assert (best.areas, p) == ((1.0,), P[R])
-        assert sum(scored_rows) == rows_scored(P, k_max, P[R]) == 1
+        assert scored_rows == []
+        assert k_max == 2 or rows_scored(P, k_max, P[R]) == 0
     # Hyperbolic hexagons of total 3.0, below max_area(6) = 8.75: the single
     # hexagon wins, and at k_max = 4 the suffix-minimum bound (1) skips every
-    # row after the first, which the line alone does not (246 rows without it).
+    # row past u = 0, which the line alone does not (245 rows without it).
     P = [0.0] + [perimeter(RegularPolygon(HYP, 6, u * (3.0 / R))) for u in range(1, R + 1)]
     scored_rows.clear()
     best, p = brute_force_min(HYP, 6, 3.0, 4, R)
     assert (best.areas, p) == ((R * (3.0 / R),), P[R])
-    assert sum(scored_rows) == rows_scored(P, 4, P[R]) == 1
+    assert scored_rows == []
+    assert rows_scored(P, 4, P[R]) == 0
 
 
-@pytest.mark.parametrize("k_max, expected", [(3, 8), (4, 772)])
+@pytest.mark.parametrize("k_max, expected", [(2, 0), (3, 3), (4, 770)])
 def test_brute_force_skips_rows_where_the_halves_win(scored_rows, k_max, expected):
     # Hyperbolic triangles at interior angle 0.1, R = 2000: the equal halves
-    # win in row u = 0. The first block scores the 8 rows a block of row 0's
-    # 1001 cells holds; at k_max = 3 every later row's bound P[u] + m*(R - u)
-    # exceeds the halves' score, at k_max = 4 (prefix bound S[b0]) most do.
+    # win in row u = 0, which seeds the best; k_max = 2 has no other row. At
+    # k_max = 3 only rows u = 1..3 have a bound P[u] + m*(R - u) at or below
+    # the halves' score (476 with the first bound alone); at k_max = 4
+    # (prefix bound S[b0]) 770 of the 1000 rows past u = 0 do.
     R, total = 2000, math.pi - 0.3
     P = [0.0] + [perimeter(RegularPolygon(HYP, 3, u * (total / R))) for u in range(1, R + 1)]
     best, p = brute_force_min(HYP, 3, total, k_max, R)
     assert (best.areas, p) == ((1000 * (total / R),) * 2, P[1000] + P[1000])
-    assert sum(scored_rows) == rows_scored(P, k_max, p) == expected
+    assert sum(scored_rows) == expected
+    assert k_max == 2 or rows_scored(P, k_max, p) == expected
 
 
-# brute_force_min at R = 2000, the same at k_max = 3 and 4, as float.hex of
-# the areas and the perimeter: the scalar reference reaches only R <= 40.
+# brute_force_min at R = 2000, the same at k_max = 2, 3 and 4 (one or two
+# parts win each), as float.hex of the areas and the perimeter: the scalar
+# reference reaches only R <= 40.
 FROZEN_FULL_RESOLUTION = [
     (HYP, 3, math.pi - 0.3, ["0x1.6bb94edddc6b2p+0"] * 2, "0x1.c1a1776cfc7fbp+3"),
     (EUC, 4, 1.0, ["0x1.0000000000000p+0"], "0x1.fffffffffffffp+1"),
@@ -840,7 +842,7 @@ FROZEN_FULL_RESOLUTION = [
 ]
 
 
-@pytest.mark.parametrize("k_max", [3, 4])
+@pytest.mark.parametrize("k_max", [2, 3, 4])
 @pytest.mark.parametrize("geometry, n, total, areas, perimeter_hex", FROZEN_FULL_RESOLUTION)
 def test_brute_force_frozen_at_full_resolution(geometry, n, total, areas, perimeter_hex, k_max):
     best, p = brute_force_min(geometry, n, total, k_max, 2000)
