@@ -211,12 +211,13 @@ def _half_side(n: int, x, d, curvature: int = -1, m=math):
     The deficit path: the caller passes d (K*area/(2n) for an area), so the
     numerator is never taken from a rounded x (_half_sides takes an angle).
     With a hyperbolic d (< 0), sin((h + a)/2) = sin(a - d/2) is expanded as
-    sin(a)*cos(d/2) - cos(a)*sin(d/2), a sum of two positive terms, so that
-    one sine serves both factors: an array then takes three elementwise
-    passes, not four. In the spherical plane (d >= 0) the expansion would
-    subtract, so it keeps the sine of a - d/2. `m` supplies sin, asin, log1p
-    and sqrt: math for floats, or a namespace that maps them over a 1-D numpy
-    array with math's bits (see brute_force_min). No domain check.
+    sin(a)*cos(d/2) - cos(a)*sin(d/2), a sum of two positive terms: these
+    are the operations that set the float call's bits, which an array
+    element must repeat. In the spherical plane (d >= 0) the expansion would
+    subtract, so it keeps the sine of a - d/2. `m` supplies sin, asin,
+    log1p and sqrt, and to _side also where: math for floats, or a namespace
+    that applies them to a 1-D numpy array with math's bits (see
+    configurations._elementwise). No domain check.
     """
     a = math.pi / n
     s = m.sin(0.5 * d)

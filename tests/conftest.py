@@ -6,11 +6,21 @@ library output against them at stated tolerances.
 """
 
 import math
+import os
 import re
 from collections.abc import Callable
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import isoperim
+
+# absolute, so a fresh interpreter (a demo, a subprocess check) finds the
+# package the tests import from any directory
+PYTHONPATH = os.pathsep.join(
+    filter(None, (str(Path(isoperim.__file__).parents[1]), os.environ.get("PYTHONPATH")))
+)
 
 # arccosh(3 + 2*sqrt(3)): side of the hyperbolic triangle with area pi/2
 SIDE_AREA_HALF_PI = 2.5533737367606908

@@ -867,6 +867,41 @@ def test_brute_force_working_memory():
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize(
+    "geometry, n, total, k_max",
+    [
+        (HYP, 3, math.pi - 0.3, 2),
+        (HYP, 3, 3 * math.pi, 4),  # the table is finite on its first 666 entries
+        (SPH, 3, math.pi / 2, 2),
+        (SPH, 3, 3 * math.pi, 4),  # on its first 1333
+        (EUC, 4, 1.0, 4),
+    ],
+)
+def test_brute_force_table_maps_one_math_function(monkeypatch, geometry, n, total, k_max):
+    # The table at R = 2000 takes its sines from np.sin, which keeps math's
+    # bits, and maps math's own function over its finite entries only where
+    # numpy's may differ: log1p (hyperbolic) or asin (spherical). math.sin
+    # then gives only the hyperbolic sin(pi/n); the flat table maps nothing.
+    calls = {}
+
+    def counted(name):
+        fn = getattr(math, name)
+
+        def call(x):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(x)
+
+        return call
+
+    for name in ("sin", "log1p", "asin"):
+        monkeypatch.setattr(math, name, counted(name))
+    R, hi = 2000, area_bounds(geometry, n)[1]
+    finite = sum(u * (total / R) < hi for u in range(1, R + 1))
+    brute_force_min(geometry, n, total, k_max, R)
+    expected = {HYP: {"sin": 1, "log1p": finite}, SPH: {"asin": finite}, EUC: {}}
+    assert calls == expected[geometry]
+
+
 # ------------------------------------- decision bits against a public reference
 #
 # The references below rebuild every decision from public

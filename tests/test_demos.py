@@ -7,13 +7,9 @@ from pathlib import Path
 
 import pytest
 
-import isoperim
+from conftest import PYTHONPATH
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
-# absolute, so the demos find the package the tests import from any directory
-PYTHONPATH = os.pathsep.join(
-    filter(None, (str(Path(isoperim.__file__).parents[1]), os.environ.get("PYTHONPATH")))
-)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)

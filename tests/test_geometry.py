@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -28,7 +31,7 @@ from isoperim import (
 from isoperim.configurations import _elementwise
 from isoperim.geometry import _side
 
-from conftest import SIDE_AREA_HALF_PI, full_text
+from conftest import PYTHONPATH, SIDE_AREA_HALF_PI, full_text
 
 EUC = Geometry.EUCLIDEAN
 SPH = Geometry.SPHERICAL
@@ -359,6 +362,65 @@ def test_side_of_an_array_keeps_the_bits_of_floats_on_every_shape(geometry, n, v
     for fn, x in ((math.sin, areas), (math.log1p, areas), (math.asin, unit_range)):
         values = getattr(ns, fn.__name__)(x).tolist()
         assert [v.hex() for v in values] == [fn(v).hex() for v in x.tolist()]
+
+
+# Run in a fresh interpreter with the dispatch targets named in argv turned
+# off: np.sin against math.sin, bit for bit, over the sines' arguments in a
+# curved table (|y| < pi/2, log-spread down to 5e-324), then full R = 2000
+# tables against the scalar _side.
+DISPATCH_LEVEL_CHECK = """
+import math, sys
+import numpy as np
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1
+    from numpy.core._multiarray_umath import __cpu_features__
+from isoperim import Geometry
+from isoperim.configurations import _elementwise
+from isoperim.geometry import _side, area_bounds
+
+off = sys.argv[1:]
+assert not any(__cpu_features__[t] for t in off), f"{off} stayed on"
+rng = np.random.default_rng(0)
+half_pi = math.nextafter(math.pi / 2, 0.0)
+y = np.concatenate([
+    rng.uniform(-half_pi, half_pi, 200_000),
+    np.exp(rng.uniform(math.log(5e-324), math.log(half_pi), 200_000)),
+    -np.exp(rng.uniform(math.log(5e-324), math.log(half_pi), 200_000)),
+    [0.0, -0.0, 5e-324, -5e-324, half_pi, -half_pi],
+])
+for view in (y, y[::3], y[::-1]):
+    expected = np.fromiter(map(math.sin, view.tolist()), float, view.size)
+    diff = np.count_nonzero(np.sin(view).view(np.int64) != expected.view(np.int64))
+    assert diff == 0, f"np.sin differs from math.sin on {diff} of {view.size}"
+for geometry in (Geometry.SPHERICAL, Geometry.HYPERBOLIC):
+    for n in (3, 6, 1000, 10**6):
+        hi = area_bounds(geometry, n)[1]
+        areas = np.arange(1, 2001) * (min(math.nextafter(hi, 0.0), 50.0) / 2000)
+        table = _side(geometry, n, areas, _elementwise(np)).tolist()
+        expected = [_side(geometry, n, a) for a in areas.tolist()]
+        assert list(map(float.hex, table)) == list(map(float.hex, expected)), (geometry, n)
+"""
+
+
+def test_side_of_an_array_keeps_the_bits_of_floats_at_every_dispatch_level():
+    # numpy picks a kernel for each ufunc by the CPU: the oracle's table takes
+    # np.sin, so its bits must not move at any dispatch level. Each level
+    # turns off one available target and those above it (the full level is
+    # this process's, which the tests above check).
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    for i in range(len(targets)):
+        off = targets[i:]
+        env = {**os.environ, "PYTHONPATH": PYTHONPATH, "NPY_DISABLE_CPU_FEATURES": " ".join(off)}
+        result = subprocess.run(
+            [sys.executable, "-c", DISPATCH_LEVEL_CHECK, *off],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, (off, result.stderr)
 
 
 def test_area_bounds():
